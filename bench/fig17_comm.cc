@@ -10,11 +10,10 @@
  * suite asserts this); the oblivious plan pays its communication at
  * execution time, overlapped (non-blocking) or rendezvous (blocking).
  *
- * All comm-aware searches run at the runtime-faithful PerDevice transfer
- * granularity: device masks are width-generic (support/resourceset.h),
- * so TP-grouped lowerings whose device + link count exceeds 64 resources
- * need no fallback. PerEdge remains available as an explicit
- * CommOptions choice for callers who want fewer link pseudo-devices.
+ * All comm-aware searches lower one transfer per destination device, as
+ * the runtime does: device masks are width-generic
+ * (support/resourceset.h), so TP-grouped lowerings whose device + link
+ * count exceeds 64 resources need no fallback.
  *
  * A second, wide-cluster section runs 32- and 64-GPU heterogeneous
  * configurations end to end (search -> planner-fidelity simulation ->

@@ -78,6 +78,7 @@ prepareReplanSeed(const Placement &placement, const TesselOptions &drifted,
     AdaptOutcome adapted =
         adaptResultToQuery(placement, eff, *adapt_from, exactPhasesAllowed);
     span.setArg("ok", adapted.ok ? 1 : 0);
+    span.setArg("proven", adapted.retimeCut ? 0 : 1);
     out.work.merge(adapted.breakdown);
     if (!adapted.ok) {
         out.reason = std::move(adapted.reason);
@@ -85,6 +86,7 @@ prepareReplanSeed(const Placement &placement, const TesselOptions &drifted,
     }
     out.ok = true;
     out.retimed = adapted.retimed;
+    out.retimeCut = adapted.retimeCut;
     out.seed = std::move(adapted.seed);
     out.retimedResult = std::move(adapted.adapted);
     return out;

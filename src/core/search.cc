@@ -9,6 +9,7 @@
 #include "solver/bnb.h"
 #include "support/cancel.h"
 #include "support/logging.h"
+#include "support/metrics.h"
 #include "support/threadpool.h"
 #include "support/timer.h"
 #include "support/tracing.h"
@@ -121,13 +122,16 @@ seedPhasePriority(const SearchSeed *seed, const std::vector<BlockRef> &refs)
 }
 
 /** Satisfiability check: does any valid schedule of the phase exist?
- * @p seed orders the first dive only; the verdict is seed-invariant. */
+ * @p seed orders the first dive only; the verdict is seed-invariant. A
+ * check cut by @p node_budget (or the @p budget_sec backstop) before
+ * finding a schedule answers false. */
 bool
 phaseSatisfiable(const Placement &placement,
                  const std::vector<BlockRef> &refs,
                  const std::vector<Mem> &entry_mem, Mem mem_limit,
-                 double budget_sec, const CancelToken &cancel,
-                 const SearchSeed *seed, SearchBreakdown &breakdown)
+                 uint64_t node_budget, double budget_sec,
+                 const CancelToken &cancel, const SearchSeed *seed,
+                 SearchBreakdown &breakdown)
 {
     if (refs.empty())
         return true;
@@ -135,6 +139,7 @@ phaseSatisfiable(const Placement &placement,
         buildPhase(placement, refs, entry_mem, mem_limit, nullptr, nullptr);
     const std::vector<Time> prio = seedPhasePriority(seed, refs);
     SolverOptions so;
+    so.nodeLimit = node_budget;
     so.timeBudgetSec = budget_sec;
     so.cancel = cancel;
     if (!prio.empty())
@@ -174,11 +179,35 @@ computeTheta0(const Placement &placement, const RepetendAssignment &assign,
     return theta0;
 }
 
+/**
+ * Minimize one phase instance under @p node_budget, with the options'
+ * phaseBudgetSec as wall-clock backstop. Sets *@p cut when the solve
+ * found a schedule but stopped before proving it optimal.
+ */
+SolveResult
+minimizePhase(const PhaseInstance &inst, const TesselOptions &options,
+              uint64_t node_budget, const CancelToken &cancel,
+              SearchBreakdown &breakdown, bool *cut)
+{
+    SolverOptions so;
+    so.nodeLimit = node_budget;
+    so.timeBudgetSec = options.phaseBudgetSec;
+    so.cancel = cancel;
+    BnbSolver solver(inst.sp, so);
+    const SolveResult r = solver.minimizeMakespan();
+    addSolveStats(breakdown, r.stats);
+    if (cut && r.status == SolveStatus::Feasible)
+        *cut = true;
+    return r;
+}
+
 /** Best candidate found so far: its assignment and window schedule. */
 struct BestCandidate
 {
     RepetendAssignment assign;
     RepetendSchedule sched;
+    /** Without lazy search: a budget cut the candidate's completion. */
+    bool planCut = false;
 };
 
 } // namespace
@@ -188,8 +217,9 @@ std::optional<TesselPlan>
 completeRepetendPlan(const Placement &placement,
                      const RepetendAssignment &assign,
                      const RepetendSchedule &rsched,
-                     const TesselOptions &options,
-                     SearchBreakdown &breakdown, const CancelToken &cancel)
+                     const TesselOptions &options, uint64_t node_budget,
+                     SearchBreakdown &breakdown, const CancelToken &cancel,
+                     bool *cut)
 {
     std::vector<Mem> entry = options.initialMem;
     if (entry.empty())
@@ -205,13 +235,9 @@ completeRepetendPlan(const Placement &placement,
             PhaseInstance inst = buildPhase(placement, warm_refs, entry,
                                             options.memLimit, nullptr,
                                             nullptr);
-            SolverOptions so;
-            so.timeBudgetSec = options.phaseBudgetSec;
-            so.cancel = cancel;
-            BnbSolver solver(inst.sp, so);
-            const SolveResult r = solver.minimizeMakespan();
+            const SolveResult r = minimizePhase(inst, options, node_budget,
+                                                cancel, breakdown, cut);
             breakdown.warmupSeconds += watch.seconds();
-            addSolveStats(breakdown, r.stats);
             if (!r.feasible())
                 return std::nullopt;
             warm_starts = r.starts;
@@ -261,13 +287,9 @@ completeRepetendPlan(const Placement &placement,
                 placement, cool_refs,
                 postWindowMem(placement, assign, options.initialMem),
                 options.memLimit, &avail_after_window, &external);
-            SolverOptions so;
-            so.timeBudgetSec = options.phaseBudgetSec;
-            so.cancel = cancel;
-            BnbSolver solver(inst.sp, so);
-            const SolveResult r = solver.minimizeMakespan();
+            const SolveResult r = minimizePhase(inst, options, node_budget,
+                                                cancel, breakdown, cut);
             breakdown.cooldownSeconds += watch.seconds();
-            addSolveStats(breakdown, r.stats);
             if (!r.feasible())
                 return std::nullopt;
             cool_starts = r.starts;
@@ -296,14 +318,16 @@ namespace {
  * run are the *same* deterministic solves that produced the seed plan
  * — so the seed plan IS the completion, returned without paying the
  * phase budgets again. Any mismatch falls through to the real
- * completion; the answer is bit-identical either way.
+ * completion; the answer is bit-identical either way. Only proven plans
+ * are licensed for reuse, so a reused completion leaves @p cut alone.
  */
 std::optional<TesselPlan>
 completeOrReusePlan(const Placement &placement,
                     const RepetendAssignment &assign,
                     const RepetendSchedule &rsched,
                     const TesselOptions &options,
-                    SearchBreakdown &breakdown, const CancelToken &cancel)
+                    SearchBreakdown &breakdown, const CancelToken &cancel,
+                    bool *cut)
 {
     const SearchSeed *seed = options.seed;
     if (seed && seed->phasesExact && seed->plan &&
@@ -314,7 +338,7 @@ completeOrReusePlan(const Placement &placement,
         return *seed->plan;
     }
     return completeRepetendPlan(placement, assign, rsched, options,
-                                breakdown, cancel);
+                                kPhaseNodeBudget, breakdown, cancel, cut);
 }
 
 /**
@@ -450,14 +474,15 @@ class SweepState
 
         if (sched.feasible && couldImprove(sched.period, index)) {
             std::optional<TesselPlan> plan;
+            bool plan_cut = false;
             bool accept = true;
             if (options_.lazy) {
                 Stopwatch w_watch;
                 ++local.satChecks;
                 accept = phaseSatisfiable(
                     placement_, warmupBlocks(placement_, assign), entry_,
-                    options_.memLimit, options_.phaseBudgetSec, token,
-                    options_.seed, local);
+                    options_.memLimit, kPhaseNodeBudget,
+                    options_.phaseBudgetSec, token, options_.seed, local);
                 local.warmupSeconds += w_watch.seconds();
                 if (accept) {
                     Stopwatch c_watch;
@@ -466,19 +491,22 @@ class SweepState
                         placement_, cooldownBlocks(placement_, assign),
                         postWindowMem(placement_, assign,
                                       options_.initialMem),
-                        options_.memLimit, options_.phaseBudgetSec, token,
-                        options_.seed, local);
+                        options_.memLimit, kPhaseNodeBudget,
+                        options_.phaseBudgetSec, token, options_.seed,
+                        local);
                     local.cooldownSeconds += c_watch.seconds();
                 }
             } else {
                 // Full time-optimal completion per improving candidate
                 // (Algorithm 1 lines 16-17 verbatim).
                 plan = completeOrReusePlan(placement_, assign, sched,
-                                           options_, local, token);
+                                           options_, local, token,
+                                           &plan_cut);
                 accept = plan.has_value();
             }
             if (accept)
-                publish(index, assign, sched, std::move(plan));
+                publish(index, BestCandidate{assign, sched, plan_cut},
+                        std::move(plan));
         }
 
         std::lock_guard<std::mutex> lock(runningMu_);
@@ -490,20 +518,21 @@ class SweepState
     }
 
     void
-    publish(uint64_t index, const RepetendAssignment &assign,
-            const RepetendSchedule &sched, std::optional<TesselPlan> plan)
+    publish(uint64_t index, BestCandidate cand,
+            std::optional<TesselPlan> plan)
     {
+        const Time period = cand.sched.period;
         {
             std::lock_guard<std::mutex> lock(winnerMu_);
-            if (!lexBetterLocked(sched.period, index))
+            if (!lexBetterLocked(period, index))
                 return;
-            bestPeriod_ = sched.period;
+            bestPeriod_ = period;
             bestIndex_ = index;
-            best_ = BestCandidate{assign, sched};
+            best_ = std::move(cand);
             bestPlan_ = std::move(plan);
-            incumbent_.tryImprove(sched.period);
+            incumbent_.tryImprove(period);
         }
-        if (sched.period == lowerBound_) {
+        if (period == lowerBound_) {
             // Algorithm 1, lines 19-20: lower the early-exit bar and
             // cancel every in-flight solve that can no longer win.
             uint64_t cur = lbBar_.load(std::memory_order_relaxed);
@@ -601,13 +630,15 @@ serialSweep(const Placement &enum_placement, const CommExpansion *expansion,
                 if (!sched.feasible || sched.period >= optimal)
                     return true;
 
+                bool plan_cut = false;
                 if (options.lazy) {
                     Stopwatch w_watch;
                     ++result.breakdown.satChecks;
                     const bool sat_w = phaseSatisfiable(
                         placement, warmupBlocks(placement, assign), entry,
-                        options.memLimit, options.phaseBudgetSec,
-                        options.cancel, options.seed, result.breakdown);
+                        options.memLimit, kPhaseNodeBudget,
+                        options.phaseBudgetSec, options.cancel,
+                        options.seed, result.breakdown);
                     result.breakdown.warmupSeconds += w_watch.seconds();
                     if (!sat_w)
                         return true;
@@ -617,24 +648,27 @@ serialSweep(const Placement &enum_placement, const CommExpansion *expansion,
                         placement, cooldownBlocks(placement, assign),
                         postWindowMem(placement, assign,
                                       options.initialMem),
-                        options.memLimit, options.phaseBudgetSec,
-                        options.cancel, options.seed, result.breakdown);
+                        options.memLimit, kPhaseNodeBudget,
+                        options.phaseBudgetSec, options.cancel,
+                        options.seed, result.breakdown);
                     result.breakdown.cooldownSeconds += c_watch.seconds();
                     if (!sat_c)
                         return true;
                 } else {
                     // Full time-optimal completion per improving
-                    // candidate (Algorithm 1 lines 16-17 verbatim).
+                    // candidate (Algorithm 1 lines 16-17 verbatim). Its
+                    // cut rides on the candidate, never on the shared
+                    // breakdown, whose budgetExhausted stops the sweep.
                     auto plan = completeOrReusePlan(
                         placement, assign, sched, options,
-                        result.breakdown, options.cancel);
+                        result.breakdown, options.cancel, &plan_cut);
                     if (!plan)
                         return true;
                     best_plan = std::move(plan);
                 }
 
                 optimal = sched.period;
-                best = BestCandidate{assign, sched};
+                best = BestCandidate{assign, sched, plan_cut};
                 if (sched.period == result.lowerBound) {
                     result.breakdown.earlyExit = true;
                     return false; // Algorithm 1, lines 19-20.
@@ -817,15 +851,27 @@ tesselSearch(const Placement &placement, const TesselOptions &options)
     if (!best)
         return result;
 
+    bool cut = best->planCut;
     if (eff.lazy || !best_plan) {
         TraceSpan span("phase-solve");
+        const uint64_t nodes_before = result.breakdown.solverNodes;
         best_plan = completeOrReusePlan(*solve_placement, best->assign,
                                         best->sched, eff,
-                                        result.breakdown, eff.cancel);
+                                        result.breakdown, eff.cancel, &cut);
         span.setArg("sat_checks", result.breakdown.satChecks);
         span.setArg("solver_nodes", result.breakdown.solverNodes);
+        span.setArg("nodes", result.breakdown.solverNodes - nodes_before);
+        span.setArg("proven", cut ? 0 : 1);
         if (!best_plan)
             return result;
+    }
+    // Flagged only here, after the sweep: a cut completion must not
+    // read as the sweep's own budget stop.
+    if (cut) {
+        result.breakdown.budgetExhausted = true;
+        static Counter *const unproven =
+            MetricsRegistry::instance().counter("search.phase_unproven");
+        unproven->inc();
     }
 
     result.found = true;

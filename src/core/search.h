@@ -53,8 +53,9 @@ struct SearchSeed
      * pipeline on the *identical* phase instances this query would
      * build (store/adapt.cc certifies this: the solve placements match
      * block for block — spans included — memory limits and initial
-     * memory agree, and the stored and querying instances share a
-     * phaseOptionsDigest). If the search winner's (assignment,
+     * memory agree, the stored and querying instances share a
+     * phaseOptionsDigest, and the stored plan is proven, so reuse never
+     * hides a budget cut). If the search winner's (assignment,
      * windowStart, period) equals the seed plan's, completion may
      * return `*plan` verbatim instead of re-running the per-phase
      * minimizes — the output is the same by determinism of the
@@ -81,7 +82,12 @@ struct TesselOptions
     double totalBudgetSec = 0.0;
     /** Wall budget per repetend candidate solve. */
     double repetendBudgetSec = 2.0;
-    /** Wall budget per warmup/cooldown solve. */
+    /**
+     * Wall-clock backstop per warmup/cooldown solve. The phase solves
+     * stop on a node budget (kPhaseNodeBudget); this binds only on a
+     * slow host or build (Debug, sanitizers), where the plan then
+     * depends on the host again.
+     */
     double phaseBudgetSec = 10.0;
     /**
      * Worker threads for the per-NR candidate sweep. 0 picks
@@ -107,7 +113,7 @@ struct TesselOptions
      * missing edges transfer 0 MB (latency only).
      */
     std::map<std::pair<int, int>, double> edgeMB;
-    /** Comm lowering knobs (transfer granularity). */
+    /** Comm lowering knobs (none today; see CommOptions). */
     CommOptions comm;
     /**
      * Optional warm-start seed (see SearchSeed). Plan-invariant by the
@@ -162,7 +168,10 @@ struct SearchBreakdown
     uint64_t memoReused = 0;
     int threadsUsed = 1;          ///< sweep worker count actually used
     bool earlyExit = false;       ///< lower bound reached (Algorithm 1 L19)
-    bool budgetExhausted = false; ///< totalBudgetSec tripped
+    /** The answer is not proven optimal: totalBudgetSec cut the sweep,
+     * or a budget cut a warmup/cooldown minimize of the served plan's
+     * own completion (see kPhaseNodeBudget). */
+    bool budgetExhausted = false;
     /** Makespan of the warm-start seed plan (-1: search ran unseeded);
      * merged by max so the provenance survives worker folds. */
     Time seedMakespan = -1;
@@ -224,6 +233,17 @@ struct TesselResult
 };
 
 /**
+ * Node budget of every warmup/cooldown BnB the search runs: the final
+ * completion (completeRepetendPlan) and the lazy satisfiability checks.
+ * A phase solve stops on it deterministically, so a cut plan is the same
+ * on every machine. Minimize-mode BnB returns the first optimal leaf in
+ * dispatch order, so the budget changes no plan whose deciding
+ * incumbent lies below it; a cut served completion sets
+ * SearchBreakdown::budgetExhausted.
+ */
+constexpr uint64_t kPhaseNodeBudget = uint64_t{1} << 21;
+
+/**
  * Run Algorithm 1 on @p placement.
  */
 TesselResult tesselSearch(const Placement &placement,
@@ -232,8 +252,11 @@ TesselResult tesselSearch(const Placement &placement,
 /**
  * Time-optimal completion of one repetend candidate (Algorithm 1 lines
  * 14-18): solve the warmup, anchor the window, solve the cooldown
- * against the window context, and assemble the plan. Returns nullopt
- * when a phase solve fails within its budget.
+ * against the window context, and assemble the plan. Each phase
+ * minimize expands at most @p node_budget nodes (0: unlimited); @p cut,
+ * when given, is set when a budget or @p cancel stopped a minimize
+ * before it proved its schedule optimal. Returns nullopt when a phase
+ * solve finds no schedule within its budget.
  *
  * @p placement must be the *solve* placement (the comm-expanded one for
  * comm-aware instances) and @p options must already be lowered
@@ -245,7 +268,8 @@ TesselResult tesselSearch(const Placement &placement,
 std::optional<TesselPlan> completeRepetendPlan(
     const Placement &placement, const RepetendAssignment &assign,
     const RepetendSchedule &sched, const TesselOptions &options,
-    SearchBreakdown &breakdown, const CancelToken &cancel);
+    uint64_t node_budget, SearchBreakdown &breakdown,
+    const CancelToken &cancel, bool *cut = nullptr);
 
 /**
  * Everything prepareReplanSeed distills from a served plan for a
@@ -269,6 +293,10 @@ struct ReplanSeed
     /** Whether retiming re-solved the repetend window (true) or the
      * served timing survived the drift verbatim (false). */
     bool retimed = false;
+    /** Retiming's phase completion was cut by kRetimeNodeBudget
+     * (store/adapt.h): `retimedResult` is feasible, its phases not
+     * proven optimal. Never folded into `work`. */
+    bool retimeCut = false;
     /** Virtual-incumbent seed for the drifted search; valid when ok.
      * Seed-only-prunes: the replanned plan stays bit-identical to a
      * cold search on the drifted cluster. */

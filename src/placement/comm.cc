@@ -75,7 +75,7 @@ template <typename Fn>
 void
 forEachTransfer(const Placement &placement, const ClusterModel &cluster,
                 const std::map<std::pair<int, int>, double> &edge_mb,
-                const CommOptions &options, Fn &&fn)
+                Fn &&fn)
 {
     for (int j = 0; j < placement.numBlocks(); ++j) {
         const BlockSpec &consumer = placement.block(j);
@@ -91,10 +91,6 @@ forEachTransfer(const Placement &placement, const ClusterModel &cluster,
                 const Time span = cluster.transferSpan(src, dst, mb);
                 if (span > 0)
                     fn(i, j, src, dst, span);
-                if (options.granularity ==
-                    CommOptions::Granularity::PerEdge) {
-                    break; // Lead destination only.
-                }
             }
         }
     }
@@ -105,7 +101,7 @@ forEachTransfer(const Placement &placement, const ClusterModel &cluster,
 CommExpansion
 expandWithComm(const Placement &placement, const ClusterModel &cluster,
                const std::map<std::pair<int, int>, double> &edge_mb,
-               const CommOptions &options)
+               const CommOptions &)
 {
     const int k = placement.numBlocks();
     const int nd = placement.numDevices();
@@ -128,8 +124,7 @@ expandWithComm(const Placement &placement, const ClusterModel &cluster,
     // Link pseudo-devices are allocated lazily for pairs that carry a
     // transfer with a nonzero cost. Device masks are width-generic
     // (support/resourceset.h), so any number of links past the real
-    // device count is representable; PerEdge granularity remains as an
-    // explicit option to bound the link count itself.
+    // device count is representable.
     std::map<std::pair<DeviceId, DeviceId>, DeviceId> link_of;
     auto link_device = [&](DeviceId a, DeviceId b) {
         const auto key =
@@ -143,7 +138,7 @@ expandWithComm(const Placement &placement, const ClusterModel &cluster,
     };
 
     forEachTransfer(
-        placement, cluster, edge_mb, options,
+        placement, cluster, edge_mb,
         [&](int i, int j, DeviceId src, DeviceId dst, Time span) {
             BlockSpec c;
             c.name = "c:" + placement.block(i).name + ">" +
@@ -214,7 +209,7 @@ relowerWithComm(const Placement &placement, const ClusterModel &cluster,
         Time span;
     };
     std::vector<Transfer> transfers;
-    forEachTransfer(placement, cluster, edge_mb, options,
+    forEachTransfer(placement, cluster, edge_mb,
                     [&](int i, int j, DeviceId src, DeviceId dst,
                         Time span) {
                         transfers.push_back({i, j, src, dst, span});
@@ -286,10 +281,10 @@ relowerWithComm(const Placement &placement, const ClusterModel &cluster,
 int
 commResourceDemand(const Placement &placement, const ClusterModel &cluster,
                    const std::map<std::pair<int, int>, double> &edge_mb,
-                   const CommOptions &options)
+                   const CommOptions &)
 {
     std::set<std::pair<DeviceId, DeviceId>> links;
-    forEachTransfer(placement, cluster, edge_mb, options,
+    forEachTransfer(placement, cluster, edge_mb,
                     [&](int, int, DeviceId src, DeviceId dst, Time) {
                         links.insert(src < dst ? std::make_pair(src, dst)
                                                : std::make_pair(dst, src));

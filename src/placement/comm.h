@@ -85,30 +85,22 @@ struct CommExpansion
     Schedule projectSchedule(const Schedule &expanded) const;
 };
 
-/** Knobs controlling the comm lowering. */
+/**
+ * Knobs controlling the comm lowering. There are none today: every
+ * transfer is lowered per uncovered destination device, matching the
+ * runtime's per-device send/recv pairs exactly. The struct stays in the
+ * lowering signatures (and TesselOptions::comm) so callers compile
+ * unchanged; it contributes nothing to fingerprints.
+ */
 struct CommOptions
 {
-    /**
-     * Transfer granularity. PerDevice emits one comm block per
-     * uncovered destination device, matching the runtime's per-device
-     * send/recv pairs exactly. PerEdge emits a single comm block per
-     * dependency edge, targeting the consumer's lead (lowest uncovered)
-     * device — intra-group redistribution is treated as part of the
-     * tensor-parallel block itself. PerEdge keeps the link count
-     * proportional to the edge count; device masks are width-generic,
-     * so this is a search-space/fidelity trade-off rather than a
-     * representation limit.
-     */
-    enum class Granularity { PerDevice, PerEdge };
-    Granularity granularity = Granularity::PerDevice;
 };
 
 /**
  * Lower @p placement onto @p cluster.
  *
  * For every dependency edge i -> j and every device of j that does not
- * already hold i's output (all of them under PerDevice granularity, the
- * lowest under PerEdge), a comm block is inserted on the link
+ * already hold i's output, a comm block is inserted on the link
  * pseudo-device of the pair (source, destination), where the source is
  * the lowest device of i (matching runtime instantiation). The comm
  * block depends on i, and j additionally depends on the comm block; the

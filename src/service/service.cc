@@ -34,6 +34,9 @@ PlanningService::PlanningService(ServiceOptions options)
         reg.histogram("service.answer_ms", "source", "stale");
     metrics_.staleServed = reg.counter("service.stale_served");
     metrics_.degradedServed = reg.counter("service.degraded_served");
+    // Incremented by tesselSearch; registered here so the daemon
+    // exports the series before the first cut completion.
+    reg.counter("search.phase_unproven");
 }
 
 void
@@ -282,6 +285,7 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
         row.planHash = resultPlanDigest(inst.result).hex();
         row.source = sourceName(inst.source, inst.searched);
         row.found = inst.result.found;
+        row.proven = !inst.result.breakdown.budgetExhausted;
         row.period = inst.result.period;
         row.wallSec = inst.wallSec;
         row.valueSweeps = inst.result.breakdown.valueSweeps;
@@ -375,6 +379,7 @@ PlanningService::runOne(const PlanQuery &query, QueryReport *report)
     if (report) {
         report->planHash = resultPlanDigest(result).hex();
         report->found = result.found;
+        report->proven = !result.breakdown.budgetExhausted;
         report->period = result.period;
         report->wallSec = watch.seconds();
         report->valueSweeps = result.breakdown.valueSweeps;
@@ -455,6 +460,8 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
         if (report) {
             report->planHash = resultPlanDigest(result).hex();
             report->found = result.found;
+            report->proven =
+                !report->stale && !result.breakdown.budgetExhausted;
             report->period = result.period;
             report->wallSec = watch.seconds();
             report->valueSweeps = result.breakdown.valueSweeps;

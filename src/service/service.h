@@ -101,6 +101,12 @@ struct QueryReport
     bool stale = false;
     /** Answered on a survivor placement after a device failure. */
     bool degraded = false;
+    /**
+     * The served plan is the search's proven answer: false when it is
+     * stale or its breakdown carries budgetExhausted (a budget cut the
+     * sweep or the plan's own phase completion).
+     */
+    bool proven = false;
 };
 
 /**

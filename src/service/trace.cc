@@ -435,6 +435,7 @@ formatResponseLine(const std::string &id, const ServiceLoop::Response &resp)
            << ", \"plan_hash\": \"" << resp.report.planHash << "\""
            << ", \"source\": \"" << resp.report.source << "\""
            << ", \"found\": " << (resp.report.found ? "true" : "false")
+           << ", \"proven\": " << (resp.report.proven ? "true" : "false")
            << ", \"period\": " << resp.report.period
            << ", \"wall_sec\": " << jsonNumber(resp.report.wallSec)
            << ", \"value_sweeps\": " << resp.report.valueSweeps

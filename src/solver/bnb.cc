@@ -401,9 +401,15 @@ struct BnbSolver::Impl
     bool
     budgetTripped()
     {
-        if ((stats.nodes & 1023) == 0) {
-            if (budget.expired() ||
-                (opts.nodeLimit && stats.nodes >= opts.nodeLimit)) {
+        // The node limit is checked on every node, so a cut solve stops
+        // at exactly nodeLimit expansions on any machine; the wall clock
+        // and the cancel token are polled every 1024 nodes.
+        if (opts.nodeLimit && stats.nodes >= opts.nodeLimit) {
+            stats.budgetExhausted = true;
+            provenInfeasibleDisabled = true;
+            stop = true;
+        } else if ((stats.nodes & 1023) == 0) {
+            if (budget.expired()) {
                 stats.budgetExhausted = true;
                 provenInfeasibleDisabled = true;
                 stop = true;

@@ -145,7 +145,8 @@ struct SolverOptions
 {
     /** Wall-clock budget in seconds (<= 0: unlimited). */
     double timeBudgetSec = 0.0;
-    /** Node expansion cap (0: unlimited). */
+    /** Node expansion cap (0: unlimited). Checked on every node, so a
+     *  solve it cuts returns the same result on any machine. */
     uint64_t nodeLimit = 0;
     /** Enable the dominance memo (ablation knob for the solver bench). */
     bool useDominance = true;

@@ -216,8 +216,10 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
                     // query's completion would run, so the search may
                     // return them verbatim (core/search.cc
                     // completeOrReusePlan) when this seed's candidate
-                    // wins.
+                    // wins. Only a proven plan is reused, so a reused
+                    // completion never hides a budget cut.
                     if (exactPhasesAllowed &&
+                        !neighbor.breakdown.budgetExhausted &&
                         stored.placement().structurallyEquals(
                             *solve_placement) &&
                         stored.memLimit() == eff.memLimit &&
@@ -257,15 +259,13 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
         return out;
     }
 
-    // A seed's phases only need to be *feasible* — the seed is a virtual
-    // incumbent, never the returned plan — so don't pay the search's full
-    // per-phase optimization budget here. If the clamped completion fails
-    // we merely fall back cold, losing the seed, not correctness.
-    TesselOptions adapt_opts = eff;
-    adapt_opts.phaseBudgetSec = std::min(eff.phaseBudgetSec, 0.5);
-    std::optional<TesselPlan> plan =
-        completeRepetendPlan(*solve_placement, assign, sched, adapt_opts,
-                             out.breakdown, eff.cancel);
+    // A seed's phases only need to be *feasible*, so each phase stops at
+    // kRetimeNodeBudget nodes (adapt.h); its cut goes to retimeCut, never
+    // into the breakdown. If the budgeted completion fails we merely
+    // fall back cold, losing the seed, not correctness.
+    std::optional<TesselPlan> plan = completeRepetendPlan(
+        *solve_placement, assign, sched, eff, kRetimeNodeBudget,
+        out.breakdown, eff.cancel, &out.retimeCut);
     if (!plan) {
         out.reason = "phase completion failed under the query";
         return out;

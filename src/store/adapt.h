@@ -24,8 +24,9 @@
  *     different budget knob) adapt in microseconds.
  *  4. Retime path — when reused timing fails verification (spans
  *     actually moved), re-solve the repetend window and phases for the
- *     known-good assignment with the existing exact machinery. One
- *     candidate solve instead of a sweep over all of them.
+ *     known-good assignment with the existing exact machinery, each
+ *     phase under kRetimeNodeBudget nodes. One candidate solve instead
+ *     of a sweep over all of them.
  *
  * Every outcome that reports ok passed verifyResultAgainstQuery, so the
  * adapted plan is a *feasible* answer by itself; the search then only
@@ -51,10 +52,10 @@ struct AdaptOutcome
     std::string reason;
     /** Whether the retime path ran (false = verbatim timing reuse). */
     bool retimed = false;
-    /** Whether the seed carries exactly-reusable phase schedules
-     * (SearchSeed::phasesExact); fast path only, and only when the
-     * caller attested phase-options agreement via exactPhasesAllowed. */
-    bool phasesExact = false;
+    /** Retime path: kRetimeNodeBudget cut a phase minimize, so the
+     * adapted plan's phases are feasible but not proven optimal. Kept
+     * out of `breakdown` on purpose (see kRetimeNodeBudget). */
+    bool retimeCut = false;
     /** Warm-start seed for the query's search; valid only when ok. */
     SearchSeed seed;
     /** The adapted result itself (found=true, verified against the
@@ -63,6 +64,18 @@ struct AdaptOutcome
     /** Solver work spent adapting (retime path only). */
     SearchBreakdown breakdown;
 };
+
+/**
+ * Node budget per warmup/cooldown minimize of the retime path. A seed's
+ * phases only need to be feasible (the seed is a virtual incumbent,
+ * never the returned plan), so the retime stops far below the search's
+ * kPhaseNodeBudget. Deterministic, so a retimed (stale) plan is the
+ * same on every machine. Its cut goes to AdaptOutcome::retimeCut, never
+ * into the breakdown: the retime's work is merged into the fresh
+ * search's breakdown, whose budgetExhausted speaks for the search's own
+ * completion only.
+ */
+constexpr uint64_t kRetimeNodeBudget = uint64_t{1} << 14;
 
 /**
  * Adapt @p neighbor — a stored result for some other fingerprint — to
@@ -75,9 +88,10 @@ struct AdaptOutcome
  *   querying instances share a phaseOptionsDigest (the service compares
  *   the indexed meta sidecars). Only then may the fast path mark its
  *   seed phasesExact — and it still independently requires the stored
- *   solve placement to equal the query's span-for-span and the memory
- *   model to agree, so a stale or wrong attestation can widen reuse
- *   only to instances where the completion pipeline's inputs are
+ *   solve placement to equal the query's span-for-span, the memory
+ *   model to agree and the neighbor's plan to be proven (breakdown
+ *   without budgetExhausted), so a stale or wrong attestation can widen
+ *   reuse only to instances where the completion pipeline's inputs are
  *   provably identical anyway.
  */
 AdaptOutcome adaptResultToQuery(const Placement &placement,

@@ -97,8 +97,6 @@ hashCommModel(Hasher &h, const Placement &p, const TesselOptions &o)
         h.addDouble(mb);
     }
     h.addU64(0xfeedu);
-
-    h.addI32(static_cast<int32_t>(o.comm.granularity));
 }
 
 void
@@ -146,7 +144,7 @@ fingerprintQuery(const Placement &placement, const TesselOptions &options)
     // The search goes comm-aware exactly when a non-trivial cluster is
     // present (core/search.cc); a null and a trivial model both take
     // the homogeneous path bit for bit, so they share a fingerprint and
-    // the edge volumes / granularity are unread.
+    // the edge volumes are unread.
     const bool comm_aware = queryIsCommAware(placement, options);
     h.addBool(comm_aware);
     if (comm_aware)
@@ -192,10 +190,12 @@ phaseOptionsDigest(const TesselOptions &options)
     Hasher h(kPhaseDomain);
     h.addU64(kFingerprintVersion);
 
-    // Budgets first: completeRepetendPlan runs each phase minimize
-    // under phaseBudgetSec and the whole search under totalBudgetSec; a
-    // truncated minimize returns its best-so-far, so either budget
-    // moving can move the phase schedules.
+    // Budgets first: completeRepetendPlan stops each phase minimize at
+    // kPhaseNodeBudget nodes (a constant, covered by
+    // kFingerprintVersion) with phaseBudgetSec as wall-clock backstop,
+    // and the whole search under totalBudgetSec; a truncated minimize
+    // returns its best-so-far, so either budget binding can move the
+    // phase schedules.
     h.addDouble(options.totalBudgetSec);
     h.addDouble(options.phaseBudgetSec);
 

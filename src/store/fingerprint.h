@@ -48,10 +48,13 @@ namespace tessel {
 
 /**
  * Fingerprint format version. Bump whenever the hashed field set or
- * canonicalization rules change so stale store entries (keyed by file
- * name = fingerprint) can never alias a new-scheme query.
+ * canonicalization rules change, or the search's fixed budgets move
+ * (kPhaseNodeBudget, kRetimeNodeBudget), so stale store entries (keyed
+ * by file name = fingerprint) can never alias a new-scheme query.
+ * Version 2: node-budgeted phase completion; the comm granularity is
+ * no longer hashed.
  */
-constexpr uint32_t kFingerprintVersion = 1;
+constexpr uint32_t kFingerprintVersion = 2;
 
 /** @return the canonical 128-bit fingerprint of (placement, options). */
 Hash128 fingerprintQuery(const Placement &placement,

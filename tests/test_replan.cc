@@ -199,6 +199,56 @@ TEST(TesselReplan, DriftedPlanBitIdenticalToColdSearch)
     EXPECT_TRUE(stale_ok.ok) << stale_ok.reason;
 }
 
+TEST(TesselReplan, RetimeIsDeterministicAndNeverFlagsTheReplan)
+{
+    // NN/hetero: its own completion is cut by kPhaseNodeBudget, and a
+    // link drift makes the retime's completion cut too. Wall-clock
+    // budgets are off, so only the node budgets cut, on any build.
+    const std::optional<PlanQuery> base =
+        referenceShapeQuery("NN", "hetero", 4, 10.0);
+    ASSERT_TRUE(base.has_value());
+    TesselOptions base_opts = base->effectiveOptions();
+    base_opts.numThreads = 1;
+    base_opts.totalBudgetSec = base_opts.repetendBudgetSec =
+        base_opts.phaseBudgetSec = 0.0;
+    const TesselResult served = tesselSearch(base->placement, base_opts);
+    ASSERT_TRUE(served.found);
+    EXPECT_TRUE(served.breakdown.budgetExhausted);
+
+    ClusterDelta delta;
+    delta.link[{0, 1}] = LinkParams{2.0, 0.5};
+    const ClusterModel drifted_model = applyDelta(
+        *base->cluster, delta, base->placement.numDevices());
+    TesselOptions drifted = base_opts;
+    drifted.cluster = &drifted_model;
+
+    // The retime stops on a node budget, so the stale plan is the same
+    // on every call (and every machine).
+    const ReplanSeed first =
+        prepareReplanSeed(base->placement, drifted, served, &delta, true);
+    const ReplanSeed second =
+        prepareReplanSeed(base->placement, drifted, served, &delta, true);
+    ASSERT_TRUE(first.ok) << first.reason;
+    ASSERT_TRUE(second.ok) << second.reason;
+    EXPECT_TRUE(first.retimed);
+    EXPECT_TRUE(first.retimeCut);
+    EXPECT_EQ(resultPlanDigest(first.retimedResult),
+              resultPlanDigest(second.retimedResult));
+    EXPECT_FALSE(first.work.budgetExhausted);
+
+    // The retime's cut stays out of the fresh replan: its flag is the
+    // cold search's own.
+    ReplanSeed info;
+    const TesselResult replanned = tesselReplan(
+        base->placement, drifted, served, &delta, true, &info);
+    const TesselResult cold = tesselSearch(base->placement, drifted);
+    ASSERT_TRUE(replanned.found);
+    ASSERT_TRUE(info.retimeCut);
+    EXPECT_EQ(resultPlanDigest(replanned), resultPlanDigest(cold));
+    EXPECT_FALSE(cold.breakdown.budgetExhausted);
+    EXPECT_FALSE(replanned.breakdown.budgetExhausted);
+}
+
 // ----------------------------------------------------- service replan
 
 TEST(ServiceReplan, DriftServedBitIdenticalToColdSearch)

@@ -2,13 +2,19 @@
  * @file
  * Tests for TesselSearch (Algorithm 1): zero-bubble periods and NR
  * thresholds matching the paper's searched schedules (Fig. 8 / Fig. 11),
- * memory ablation behavior (Fig. 12), and lazy-search equivalence.
+ * memory ablation behavior (Fig. 12), lazy-search equivalence, and the
+ * reference plans under node-budgeted phase completion.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/search.h"
 #include "placement/shapes.h"
+#include "service/service.h"
+#include "store/serialize.h"
 
 namespace tessel {
 namespace {
@@ -156,6 +162,48 @@ TEST(TesselSearch, TwoDeviceShapes)
         const auto r = tesselSearch(makeShapeByName(name, 2), quickOpts());
         ASSERT_TRUE(r.found) << name;
         EXPECT_EQ(r.period, r.lowerBound) << name;
+    }
+}
+
+TEST(TesselSearch, ReferencePlansUnderNodeBudgets)
+{
+    // Plan digests of the 15 reference queries (4 devices, 10 s query
+    // budget), recorded before phase solves had node budgets: every
+    // deciding incumbent lies below kPhaseNodeBudget, so the budgets
+    // move no plan. Only NN/hetero's completion is cut, so only it is
+    // flagged unproven. The wall-clock budgets are switched off so that
+    // the node budgets alone decide, as they do wherever the backstops
+    // never bind; a Debug or sanitizer build is slow enough to hit the
+    // 5 s phase backstop.
+    const std::map<std::string, std::string> digests = {
+        {"V/homogeneous", "51a433be64ed8cc318ece4f48337c2d1"},
+        {"V/mem-capped", "d5c5b0d2651ff477705167e31a5ef5dc"},
+        {"V/hetero", "0c2b5e5255ac458f654ff42ba0b1b0a4"},
+        {"X/homogeneous", "c11f7b632c25d022a271f6e66be448c5"},
+        {"X/mem-capped", "005d954bd634a5fcb924667dcdbf7f64"},
+        {"X/hetero", "69ed9bc6c48d773382981d1ca1749dd5"},
+        {"M/homogeneous", "8add0c22363a13180db3be80354b4295"},
+        {"M/mem-capped", "fcc313ff06dade2e49bf38a6484adbcf"},
+        {"M/hetero", "b8c41004c4cf166f8563e7295c7babad"},
+        {"NN/homogeneous", "5e7249cfcd5c640a0980823d78adc303"},
+        {"NN/mem-capped", "21e4a1ca5d8d4f5022a39f80d3c996c1"},
+        {"NN/hetero", "0a103c3ed661ad0e64955a90dade4a2e"},
+        {"K/homogeneous", "6d0e8dc2917b16cb9e294a3d346af46e"},
+        {"K/mem-capped", "490661564bf4770464e2a45995186228"},
+        {"K/hetero", "9bac9a052d012ee6ee04940fe8e8c7ca"},
+    };
+    const std::vector<PlanQuery> queries = referenceShapeQueries(4, true, 10.0);
+    ASSERT_EQ(queries.size(), digests.size());
+    for (const PlanQuery &q : queries) {
+        TesselOptions opts = q.effectiveOptions();
+        opts.numThreads = 1;
+        opts.totalBudgetSec = opts.repetendBudgetSec = opts.phaseBudgetSec =
+            0.0;
+        const TesselResult r = tesselSearch(q.placement, opts);
+        ASSERT_TRUE(r.found) << q.label;
+        EXPECT_EQ(resultPlanDigest(r).hex(), digests.at(q.label)) << q.label;
+        EXPECT_EQ(r.breakdown.budgetExhausted, q.label == "NN/hetero")
+            << q.label;
     }
 }
 

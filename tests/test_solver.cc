@@ -11,6 +11,8 @@
 #include "placement/shapes.h"
 #include "solver/bnb.h"
 #include "solver/from_ir.h"
+#include "solver/oracle.h"
+#include "support/rng.h"
 
 namespace tessel {
 namespace {
@@ -223,6 +225,57 @@ TEST(BnbSolver, NodeBudgetReportsFeasibleNotOptimal)
     EXPECT_TRUE(r.status == SolveStatus::Feasible ||
                 r.status == SolveStatus::Unknown);
     EXPECT_TRUE(r.stats.budgetExhausted);
+}
+
+TEST(BnbSolver, NodeLimitCutIsDeterministicAndExact)
+{
+    Rng rng(0x10de11);
+    RandomInstanceParams params;
+    params.minBlocks = 5;
+    params.maxBlocks = 8;
+    int cut_feasible = 0;
+    for (int i = 0; i < 200; ++i) {
+        const SolverProblem sp = randomInstance(rng, params);
+        BnbSolver unbounded_solver(sp);
+        const SolveResult unbounded = unbounded_solver.minimizeMakespan();
+        if (unbounded.status != SolveStatus::Optimal)
+            continue;
+
+        // A limit at least the unbounded node count never binds.
+        SolverOptions at;
+        at.nodeLimit = unbounded.stats.nodes;
+        BnbSolver at_solver(sp, at);
+        const SolveResult same = at_solver.minimizeMakespan();
+        EXPECT_EQ(same.status, SolveStatus::Optimal) << i;
+        EXPECT_FALSE(same.stats.budgetExhausted) << i;
+        EXPECT_EQ(same.makespan, unbounded.makespan) << i;
+        EXPECT_EQ(same.starts, unbounded.starts) << i;
+        EXPECT_EQ(same.stats.nodes, unbounded.stats.nodes) << i;
+
+        // A lower limit stops at exactly that many nodes, and the cut
+        // result is the same on every run.
+        if (unbounded.stats.nodes < 4)
+            continue;
+        SolverOptions below;
+        below.nodeLimit = unbounded.stats.nodes / 2;
+        BnbSolver first_solver(sp, below), second_solver(sp, below);
+        const SolveResult first = first_solver.minimizeMakespan();
+        const SolveResult second = second_solver.minimizeMakespan();
+        EXPECT_TRUE(first.stats.budgetExhausted) << i;
+        EXPECT_EQ(first.stats.nodes, below.nodeLimit) << i;
+        EXPECT_EQ(first.status, second.status) << i;
+        EXPECT_EQ(first.makespan, second.makespan) << i;
+        EXPECT_EQ(first.starts, second.starts) << i;
+        EXPECT_NE(first.status, SolveStatus::Optimal) << i;
+        EXPECT_NE(first.status, SolveStatus::Infeasible) << i;
+        if (first.feasible()) {
+            EXPECT_EQ(first.status, SolveStatus::Feasible) << i;
+            EXPECT_GE(first.makespan, unbounded.makespan) << i;
+            ++cut_feasible;
+        }
+    }
+    // The sweep must actually exercise cuts that kept an incumbent.
+    EXPECT_GT(cut_feasible, 60);
 }
 
 TEST(BnbSolver, TagRoundTripThroughLift)

@@ -314,6 +314,7 @@ writeStatsJson(const std::string &path, const BatchReport &report)
             << "\", \"fingerprint\": \"" << q.fingerprint
             << "\", \"plan_hash\": \"" << q.planHash << "\", \"source\": \""
             << q.source << "\", \"found\": " << (q.found ? "true" : "false")
+            << ", \"proven\": " << (q.proven ? "true" : "false")
             << ", \"period\": " << q.period
             << ", \"wall_sec\": " << q.wallSec << ", \"seeded_from\": \""
             << q.seededFrom << "\", \"seed_makespan\": " << q.seedMakespan
