@@ -95,7 +95,6 @@ void
 addSolveStats(SearchBreakdown &breakdown, const SolveStats &stats)
 {
     breakdown.solverNodes += stats.nodes;
-    breakdown.relaxations += stats.relaxations;
     breakdown.valueSweeps += stats.valueSweeps;
     breakdown.policyImprovements += stats.policyImprovements;
     breakdown.memoReused += stats.memoReused;
@@ -342,18 +341,18 @@ completeOrReusePlan(const Placement &placement,
 }
 
 /**
- * Shared state of one parallel candidate sweep.
+ * Shared state of one candidate sweep.
  *
  * Determinism: every candidate carries its global enumeration index and
  * the incumbent is the lexicographic minimum of (period, index) over
- * accepted candidates, which is exactly what the serial loop converges
- * to (the serial winner is the lowest-index candidate achieving the
- * minimal period). Workers prune against the *inclusive* shared period
- * bound, so an equal-period candidate with a smaller index is never
- * masked by a higher-index one that happened to publish first. The
- * Algorithm 1 early exit becomes an index bar: once some candidate hits
- * the lower bound, only lower-index candidates (which could still win
- * the tie-break) keep running; everything above the bar is cancelled.
+ * accepted candidates: the lowest-index candidate achieving the minimal
+ * period, whatever the thread count. Workers prune against the
+ * *inclusive* shared period bound, so an equal-period candidate with a
+ * smaller index is never masked by a higher-index one that happened to
+ * publish first. The Algorithm 1 early exit becomes an index bar: once
+ * some candidate hits the lower bound, only lower-index candidates
+ * (which could still win the tie-break) keep running; everything above
+ * the bar is cancelled.
  *
  * Seeding: a warm-start seed initializes the shared bound as a virtual
  * incumbent at (seed period, index +infinity) — bestPeriod_ starts at
@@ -375,7 +374,8 @@ class SweepState
     {
     }
 
-    /** Evaluate one candidate end-to-end (runs on a pool worker). */
+    /** Evaluate one candidate end-to-end (on a pool worker, or on the
+     *  enumerating thread when the sweep runs single-threaded). */
     void
     runCandidate(uint64_t index, const RepetendAssignment &assign)
     {
@@ -390,6 +390,16 @@ class SweepState
             }
         }
         mergeStats(local);
+    }
+
+    /** True once no candidate enumerated from now on can win: the
+     *  early-exit bar is set or the total budget ran out. */
+    bool
+    stopped() const
+    {
+        return lbBar_.load(std::memory_order_relaxed) !=
+                   std::numeric_limits<uint64_t>::max() ||
+               globalCancel_.cancelled();
     }
 
     /** Snapshot of the winner, taken after the pool went quiescent. */
@@ -448,12 +458,12 @@ class SweepState
         RepetendSolveOptions rso;
         rso.memLimit = options_.memLimit;
         rso.initialMem = options_.initialMem;
-        // Like the serial loop, freeze a strict cutoff at solve start:
-        // a higher-index candidate loses a period tie with the current
-        // incumbent, so periods >= it are prunable outright. A
-        // lower-index candidate could still win the tie-break, so only
-        // strictly worse periods may be cut. The inclusive live bound
-        // then keeps tightening mid-solve as siblings publish.
+        // Freeze a strict cutoff at solve start: a higher-index
+        // candidate loses a period tie with the current incumbent, so
+        // periods >= it are prunable outright. A lower-index candidate
+        // could still win the tie-break, so only strictly worse periods
+        // may be cut. The inclusive live bound then keeps tightening
+        // mid-solve as siblings publish.
         rso.cutoff = index > snap_index ? snap_period : snap_period + 1;
         rso.liveCutoff = incumbent_.raw();
         // Until a real candidate publishes, the bound is the seed's.
@@ -461,7 +471,6 @@ class SweepState
             options_.seed != nullptr &&
             snap_index == std::numeric_limits<uint64_t>::max();
         rso.timeBudgetSec = options_.repetendBudgetSec;
-        rso.mcr = options_.mcr;
         rso.cancel = token;
         Stopwatch watch;
         const RepetendSchedule sched =
@@ -570,127 +579,31 @@ class SweepState
     SearchBreakdown stats_;
 };
 
-/** Legacy single-thread sweep (exact original control flow).
+/**
+ * Algorithm 1's candidate sweep, lines 7-20. Under lazy search (Sec. V)
+ * the per-candidate time-optimal completions become satisfiability
+ * checks.
  *
  * Candidates are enumerated on @p enum_placement (the caller's original
  * placement) and solved on @p placement; for a comm-aware search the two
  * differ and @p expansion extends each assignment onto the comm blocks.
  * In the homogeneous case they alias and @p expansion is null.
+ *
+ * One thread solves each candidate on the calling thread as it is
+ * enumerated and builds no pool; more threads hand candidates to a pool
+ * of threads - 1 workers (the caller helps drain it inside wait()).
+ * Either way enumeration stops once no later candidate can win.
  */
 void
-serialSweep(const Placement &enum_placement, const CommExpansion *expansion,
-            const Placement &placement, const TesselOptions &options,
-            const TimeBudget &total_budget, int max_inflight,
-            const std::vector<Mem> &entry, TesselResult &result,
-            std::optional<BestCandidate> &best,
-            std::optional<TesselPlan> &best_plan)
+sweepCandidates(const Placement &enum_placement,
+                const CommExpansion *expansion, const Placement &placement,
+                const TesselOptions &options, const TimeBudget &total_budget,
+                Time lower_bound, int max_inflight,
+                const std::vector<Mem> &entry, int threads,
+                TesselResult &result, std::optional<BestCandidate> &best,
+                std::optional<TesselPlan> &best_plan)
 {
-    Time optimal = placement.totalWork() + 1;
-    // A seed acts as a virtual accepted candidate at index +infinity:
-    // the strict cutoff below it admits every period <= the seed's, so
-    // any candidate the cold loop would have accepted as final winner
-    // (its period is <= the seed's, the seed plan being a feasible
-    // witness) is still accepted here — only the doomed prefix of
-    // strictly-worse candidates is skipped.
-    if (options.seed)
-        optimal = std::min(optimal, options.seed->period + 1);
-
-    // Lines 7-20. Under lazy search (Sec. V) the per-candidate
-    // time-optimal completions become satisfiability checks.
-    for (int nr = 1; nr <= max_inflight; ++nr) {
-        if (result.breakdown.earlyExit || result.breakdown.budgetExhausted)
-            break;
-        enumerateRepetends(
-            enum_placement, nr, [&](const RepetendAssignment &enum_assign) {
-                ++result.breakdown.candidatesEnumerated;
-                if (options.cancel.cancelled())
-                    return false;
-                if (total_budget.expired()) {
-                    result.breakdown.budgetExhausted = true;
-                    return false;
-                }
-                const RepetendAssignment assign =
-                    expansion ? expansion->extendAssignment(enum_assign)
-                              : enum_assign;
-                RepetendSolveOptions rso;
-                rso.memLimit = options.memLimit;
-                rso.initialMem = options.initialMem;
-                rso.cutoff = optimal;
-                rso.cutoffFromSeed =
-                    options.seed != nullptr && !best.has_value();
-                rso.timeBudgetSec = options.repetendBudgetSec;
-                rso.mcr = options.mcr;
-                rso.cancel = options.cancel;
-                Stopwatch watch;
-                const RepetendSchedule sched =
-                    solveRepetend(placement, assign, rso);
-                result.breakdown.repetendSeconds += watch.seconds();
-                ++result.breakdown.candidatesSolved;
-                addSolveStats(result.breakdown, sched.stats);
-                if (!sched.feasible || sched.period >= optimal)
-                    return true;
-
-                bool plan_cut = false;
-                if (options.lazy) {
-                    Stopwatch w_watch;
-                    ++result.breakdown.satChecks;
-                    const bool sat_w = phaseSatisfiable(
-                        placement, warmupBlocks(placement, assign), entry,
-                        options.memLimit, kPhaseNodeBudget,
-                        options.phaseBudgetSec, options.cancel,
-                        options.seed, result.breakdown);
-                    result.breakdown.warmupSeconds += w_watch.seconds();
-                    if (!sat_w)
-                        return true;
-                    Stopwatch c_watch;
-                    ++result.breakdown.satChecks;
-                    const bool sat_c = phaseSatisfiable(
-                        placement, cooldownBlocks(placement, assign),
-                        postWindowMem(placement, assign,
-                                      options.initialMem),
-                        options.memLimit, kPhaseNodeBudget,
-                        options.phaseBudgetSec, options.cancel,
-                        options.seed, result.breakdown);
-                    result.breakdown.cooldownSeconds += c_watch.seconds();
-                    if (!sat_c)
-                        return true;
-                } else {
-                    // Full time-optimal completion per improving
-                    // candidate (Algorithm 1 lines 16-17 verbatim). Its
-                    // cut rides on the candidate, never on the shared
-                    // breakdown, whose budgetExhausted stops the sweep.
-                    auto plan = completeOrReusePlan(
-                        placement, assign, sched, options,
-                        result.breakdown, options.cancel, &plan_cut);
-                    if (!plan)
-                        return true;
-                    best_plan = std::move(plan);
-                }
-
-                optimal = sched.period;
-                best = BestCandidate{assign, sched, plan_cut};
-                if (sched.period == result.lowerBound) {
-                    result.breakdown.earlyExit = true;
-                    return false; // Algorithm 1, lines 19-20.
-                }
-                return true;
-            });
-    }
-}
-
-/** Pool-backed sweep: candidates of each NR solve concurrently. Takes
- * the same (enumeration placement, expansion, solve placement) triple as
- * serialSweep. */
-void
-parallelSweep(const Placement &enum_placement,
-              const CommExpansion *expansion, const Placement &placement,
-              const TesselOptions &options, const TimeBudget &total_budget,
-              Time lower_bound, int max_inflight,
-              const std::vector<Mem> &entry, int threads,
-              TesselResult &result, std::optional<BestCandidate> &best,
-              std::optional<TesselPlan> &best_plan)
-{
-    // The cold virtual incumbent sits just above the serial upper bound
+    // The cold virtual incumbent sits just above any feasible period
     // (inclusive live bound + strict frozen cutoff = "anything goes");
     // a seed tightens it to the seed period, which every real candidate
     // may still match (seed index = +infinity loses all tie-breaks).
@@ -699,16 +612,15 @@ parallelSweep(const Placement &enum_placement,
         optimal_init = std::min(optimal_init, options.seed->period);
     SweepState state(placement, options, total_budget, lower_bound,
                      optimal_init, entry);
-    // The submitting thread helps drain the queues inside wait(), so it
-    // counts as one of the requested workers.
-    ThreadPool pool(std::max(1, threads - 1));
+    std::optional<ThreadPool> pool;
+    if (threads > 1)
+        pool.emplace(threads - 1);
 
     uint64_t next_index = 0;
     for (int nr = 1; nr <= max_inflight; ++nr) {
-        std::vector<RepetendAssignment> candidates;
         SearchBreakdown enum_stats;
         enumerateRepetends(
-            enum_placement, nr, [&](const RepetendAssignment &assign) {
+            enum_placement, nr, [&](const RepetendAssignment &enum_assign) {
                 ++enum_stats.candidatesEnumerated;
                 if (options.cancel.cancelled())
                     return false;
@@ -716,21 +628,23 @@ parallelSweep(const Placement &enum_placement,
                     enum_stats.budgetExhausted = true;
                     return false;
                 }
-                candidates.push_back(
-                    expansion ? expansion->extendAssignment(assign)
-                              : assign);
-                return true;
+                RepetendAssignment assign =
+                    expansion ? expansion->extendAssignment(enum_assign)
+                              : enum_assign;
+                const uint64_t index = next_index++;
+                if (pool) {
+                    pool->submit([&state, index,
+                                  assign = std::move(assign)] {
+                        state.runCandidate(index, assign);
+                    });
+                } else {
+                    state.runCandidate(index, assign);
+                }
+                return !state.stopped();
             });
         state.mergeStats(enum_stats);
-
-        const uint64_t base = next_index;
-        next_index += candidates.size();
-        for (size_t i = 0; i < candidates.size(); ++i) {
-            pool.submit([&state, &candidates, base, i] {
-                state.runCandidate(base + i, candidates[i]);
-            });
-        }
-        pool.wait();
+        if (pool)
+            pool->wait();
 
         // hasBest() guards the seeded case: bestPeriod_ may start AT the
         // lower bound (a seed already that tight) without any candidate
@@ -827,15 +741,9 @@ tesselSearch(const Placement &placement, const TesselOptions &options)
     std::optional<TesselPlan> best_plan; // Kept only without lazy search.
     {
         TraceSpan span("repetend-sweep");
-        if (threads == 1) {
-            serialSweep(placement, exp_ptr, *solve_placement, eff,
-                        total_budget, max_inflight, entry, result, best,
-                        best_plan);
-        } else {
-            parallelSweep(placement, exp_ptr, *solve_placement, eff,
-                          total_budget, result.lowerBound, max_inflight,
-                          entry, threads, result, best, best_plan);
-        }
+        sweepCandidates(placement, exp_ptr, *solve_placement, eff,
+                        total_budget, result.lowerBound, max_inflight,
+                        entry, threads, result, best, best_plan);
         span.setArg("value_sweeps", result.breakdown.valueSweeps);
         span.setArg("policy_improvements",
                     result.breakdown.policyImprovements);

@@ -132,6 +132,32 @@ sourceName(PlanCache::Source source, bool searched)
     return source == PlanCache::Source::Memory ? "memory" : "disk";
 }
 
+/**
+ * Record what every answer path reports alike about @p result: its
+ * solver effort as @p span args (when non-null), and its plan hash,
+ * proof status, period and effort on @p report (when non-null). A
+ * stale answer stays unproven whatever its breakdown says.
+ */
+void
+recordAnswer(const TesselResult &result, TraceSpan *span,
+             QueryReport *report)
+{
+    const SearchBreakdown &b = result.breakdown;
+    if (span) {
+        span->setArg("value_sweeps", b.valueSweeps);
+        span->setArg("policy_improvements", b.policyImprovements);
+        span->setArg("seed_nodes_pruned", b.seededNodesPruned);
+    }
+    if (!report)
+        return;
+    report->planHash = resultPlanDigest(result).hex();
+    report->found = result.found;
+    report->proven = !report->stale && !b.budgetExhausted;
+    report->period = result.period;
+    report->valueSweeps = b.valueSweeps;
+    report->policyImprovements = b.policyImprovements;
+}
+
 } // namespace
 
 bool
@@ -282,15 +308,9 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
         QueryReport &row = report.queries[q];
         row.label = queries[q].label;
         row.fingerprint = inst.fingerprint.hex();
-        row.planHash = resultPlanDigest(inst.result).hex();
         row.source = sourceName(inst.source, inst.searched);
-        row.found = inst.result.found;
-        row.proven = !inst.result.breakdown.budgetExhausted;
-        row.period = inst.result.period;
         row.wallSec = inst.wallSec;
-        row.valueSweeps = inst.result.breakdown.valueSweeps;
-        row.policyImprovements =
-            inst.result.breakdown.policyImprovements;
+        recordAnswer(inst.result, nullptr, &row);
         if (inst.seeded) {
             row.seededFrom = inst.seededFrom;
             row.seedMakespan = inst.result.breakdown.seedMakespan;
@@ -373,17 +393,9 @@ PlanningService::runOne(const PlanQuery &query, QueryReport *report)
     }
     // Solver effort rides on the span so a Perfetto timeline shows what
     // each query cost, not just how long it took (zeros for cache hits).
-    span.setArg("value_sweeps", result.breakdown.valueSweeps);
-    span.setArg("policy_improvements", result.breakdown.policyImprovements);
-    span.setArg("seed_nodes_pruned", result.breakdown.seededNodesPruned);
+    recordAnswer(result, &span, report);
     if (report) {
-        report->planHash = resultPlanDigest(result).hex();
-        report->found = result.found;
-        report->proven = !result.breakdown.budgetExhausted;
-        report->period = result.period;
         report->wallSec = watch.seconds();
-        report->valueSweeps = result.breakdown.valueSweeps;
-        report->policyImprovements = result.breakdown.policyImprovements;
         observeAnswer(*report);
     }
     return result;
@@ -452,21 +464,9 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
         report->degraded = removal;
     }
     auto finish = [&](TesselResult result) {
-        span.setArg("value_sweeps", result.breakdown.valueSweeps);
-        span.setArg("policy_improvements",
-                    result.breakdown.policyImprovements);
-        span.setArg("seed_nodes_pruned",
-                    result.breakdown.seededNodesPruned);
+        recordAnswer(result, &span, report);
         if (report) {
-            report->planHash = resultPlanDigest(result).hex();
-            report->found = result.found;
-            report->proven =
-                !report->stale && !result.breakdown.budgetExhausted;
-            report->period = result.period;
             report->wallSec = watch.seconds();
-            report->valueSweeps = result.breakdown.valueSweeps;
-            report->policyImprovements =
-                result.breakdown.policyImprovements;
             observeAnswer(*report);
         }
         return result;

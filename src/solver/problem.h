@@ -75,16 +75,11 @@ struct SolveStats
     bool cancelled = false; ///< a CancelToken stopped the solve
     uint64_t memoHits = 0;
     uint64_t boundPrunes = 0;
-    /** Bellman-Ford relaxation passes (PeriodSearch binary-mode
-     *  feasibility probes); warm-started solves need strictly fewer of
-     *  these than cold ones on the same instance. Zero in Howard mode,
-     *  whose sweeps count under `valueSweeps` instead. */
-    uint64_t relaxations = 0;
-    /** Howard-mode policy-evaluation sweeps (McrMode::Howard); the
-     *  probe-equivalent of `relaxations`, kept separate so the two
-     *  modes' effort stays individually comparable. */
+    /** PeriodSearch policy-evaluation sweeps (Bellman-Ford passes of
+     *  the Howard kernel); warm-started solves need strictly fewer of
+     *  these than cold ones on the same instance. */
     uint64_t valueSweeps = 0;
-    /** Howard-mode policy improvements: period raises driven by a
+    /** PeriodSearch policy improvements: period raises driven by a
      *  violated policy cycle's exact ratio ceiling. */
     uint64_t policyImprovements = 0;
     /** Insertions into the incrementally maintained ready list (BnB);
@@ -114,7 +109,6 @@ struct SolveStats
         cancelled |= other.cancelled;
         memoHits += other.memoHits;
         boundPrunes += other.boundPrunes;
-        relaxations += other.relaxations;
         valueSweeps += other.valueSweeps;
         policyImprovements += other.policyImprovements;
         readyPushes += other.readyPushes;

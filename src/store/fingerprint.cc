@@ -116,10 +116,9 @@ hashOptions(Hasher &h, const TesselOptions &options)
     h.addDouble(options.totalBudgetSec);
     h.addDouble(options.repetendBudgetSec);
     h.addDouble(options.phaseBudgetSec);
-    // numThreads, cancel, the warm-start seed, and the MCR mode (both
-    // inner solvers return bit-identical periods and starts) are
-    // plan-invariant by the search's contracts and deliberately not
-    // hashed.
+    // numThreads, cancel, the warm-start seed and the shared lowering
+    // are plan-invariant by the search's contracts and deliberately
+    // not hashed.
 }
 
 /** The comm-aware predicate of core/search.cc. */

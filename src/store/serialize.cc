@@ -130,7 +130,9 @@ writeBreakdown(ByteWriter &w, const SearchBreakdown &b)
     w.u64(b.candidatesCancelled);
     w.u64(b.satChecks);
     w.u64(b.solverNodes);
-    w.u64(b.relaxations);
+    // Reserved: a retired counter's slot, written as 0 so the format
+    // (and every plan digest) stays unchanged.
+    w.u64(0);
     w.u64(b.memoReused);
     w.i32(b.threadsUsed);
     w.boolean(b.earlyExit);
@@ -460,11 +462,12 @@ readExpansion(ByteReader &r, CommExpansion *out, std::string *err)
 bool
 readBreakdown(ByteReader &r, SearchBreakdown *b)
 {
+    uint64_t reserved = 0; // See writeBreakdown.
     return r.f64(&b->repetendSeconds) && r.f64(&b->warmupSeconds) &&
            r.f64(&b->cooldownSeconds) && r.u64(&b->candidatesEnumerated) &&
            r.u64(&b->candidatesSolved) && r.u64(&b->candidatesCancelled) &&
            r.u64(&b->satChecks) && r.u64(&b->solverNodes) &&
-           r.u64(&b->relaxations) && r.u64(&b->memoReused) &&
+           r.u64(&reserved) && r.u64(&b->memoReused) &&
            r.i32(&b->threadsUsed) && r.boolean(&b->earlyExit) &&
            r.boolean(&b->budgetExhausted);
 }

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/json.h"
 #include "support/logging.h"
 
 namespace tessel {
@@ -77,24 +78,6 @@ promLabelValue(const std::string &v)
         case '\\': out += "\\\\"; break;
         case '"': out += "\\\""; break;
         case '\n': out += "\\n"; break;
-        default: out.push_back(c);
-        }
-    }
-    return out;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
         default: out.push_back(c);
         }
     }

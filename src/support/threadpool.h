@@ -9,7 +9,7 @@
  * the per-deque locks are never contended enough to matter. wait()
  * lets the submitting thread help drain the queues instead of idling,
  * which keeps a pool of size N worth N+1 solving threads during a
- * sweep and makes single-core runs no slower than the serial path.
+ * sweep.
  */
 
 #ifndef TESSEL_SUPPORT_THREADPOOL_H

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "support/io.h"
+#include "support/json.h"
 
 namespace tessel {
 
@@ -152,26 +153,15 @@ TraceSpan::setLabel(const std::string &label)
 
 namespace {
 
+/** jsonEscape of a NUL-terminated string read to at most @p maxLen
+ *  bytes (span names and labels live in fixed-size buffers). */
 std::string
-jsonEscape(const char *s, size_t maxLen)
+escapeBounded(const char *s, size_t maxLen)
 {
-    std::string out;
-    for (size_t i = 0; i < maxLen && s[i] != '\0'; ++i) {
-        const char c = s[i];
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out.push_back(c);
-        }
-    }
-    return out;
+    size_t n = 0;
+    while (n < maxLen && s[n] != '\0')
+        ++n;
+    return jsonEscape(std::string_view(s, n));
 }
 
 } // namespace
@@ -188,7 +178,7 @@ toChromeTrace(const std::vector<SpanRecord> &spans)
             out += ",\n";
         first = false;
         out += "{\"name\": \"";
-        out += jsonEscape(s.name, 256);
+        out += escapeBounded(s.name, 256);
         out += "\", \"cat\": \"tessel\", \"ph\": \"X\", \"pid\": 1";
         out += ", \"tid\": " + std::to_string(s.tid);
         out += ", \"ts\": " + std::to_string(s.tsMicros);
@@ -199,7 +189,7 @@ toChromeTrace(const std::vector<SpanRecord> &spans)
             bool firstArg = true;
             if (haveLabel) {
                 out += "\"label\": \"";
-                out += jsonEscape(s.label, SpanRecord::kLabelCap);
+                out += escapeBounded(s.label, SpanRecord::kLabelCap);
                 out += '"';
                 firstArg = false;
             }
@@ -210,7 +200,7 @@ toChromeTrace(const std::vector<SpanRecord> &spans)
                     out += ", ";
                 firstArg = false;
                 out += '"';
-                out += jsonEscape(s.argKey[i], 256);
+                out += escapeBounded(s.argKey[i], 256);
                 out += "\": " + std::to_string(s.argValue[i]);
             }
             out += '}';

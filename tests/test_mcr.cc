@@ -1,20 +1,20 @@
 /**
  * @file
  * Exactness tests for the minimal-period / maximum-cycle-ratio kernel
- * (McrCore): Howard policy iteration and binary search must agree with
- * a brute-force simple-cycle oracle on random tiny systems, warm kernel
+ * (McrCore, Howard policy iteration): periods must agree with a
+ * brute-force simple-cycle oracle and start vectors with a from-zeros
+ * Bellman-Ford least fixed point on random tiny systems, warm kernel
  * calls must reproduce cold results bit for bit while spending strictly
- * fewer value sweeps, and both modes must drive PeriodSearch to
- * bit-identical schedules with exact nodeLimit accounting.
+ * fewer value sweeps, and PeriodSearch must reproduce recorded
+ * schedules with exact nodeLimit accounting.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "core/repetend.h"
 #include "core/repetend_solver.h"
 #include "placement/shapes.h"
+#include "support/hashing.h"
 
 namespace tessel {
 namespace {
@@ -99,6 +99,32 @@ oracleMinPeriod(int n, const std::vector<PeriodEdge> &edges, Time lo,
     return period > hi ? -1 : period;
 }
 
+/**
+ * Least fixed point at a feasible @p period: Bellman-Ford from all
+ * zeros, relaxing until nothing changes (max-weight paths are simple
+ * without a positive cycle, so n passes suffice).
+ */
+std::vector<Time>
+oracleLeastFixedPoint(int n, const std::vector<PeriodEdge> &edges,
+                      Time period)
+{
+    std::vector<Time> s(n, 0);
+    for (int pass = 0; pass <= n; ++pass) {
+        bool changed = false;
+        for (const PeriodEdge &e : edges) {
+            const Time need = s[e.from] + e.w - e.h * period;
+            if (need > s[e.to]) {
+                s[e.to] = need;
+                changed = true;
+            }
+        }
+        if (!changed)
+            return s;
+    }
+    ADD_FAILURE() << "no fixed point at a feasible period " << period;
+    return s;
+}
+
 std::vector<PeriodEdge>
 randomSystem(Rng &rng, int n)
 {
@@ -127,7 +153,7 @@ expectValidStart(const std::vector<PeriodEdge> &edges,
         EXPECT_GE(t, 0);
 }
 
-TEST(McrKernel, HowardAndBinaryMatchBruteForceOracle)
+TEST(McrKernel, MatchesBruteForceOracles)
 {
     Rng rng(20240808);
     int feasible = 0, infeasible = 0;
@@ -137,27 +163,19 @@ TEST(McrKernel, HowardAndBinaryMatchBruteForceOracle)
         const Time lo = rng.range(0, 3);
         const Time hi = rng.range(8, 40);
         const Time want = oracleMinPeriod(n, edges, lo, hi);
-        const McrSolveResult howard =
-            solveMinPeriod(n, edges, lo, hi, McrMode::Howard);
-        const McrSolveResult binary =
-            solveMinPeriod(n, edges, lo, hi, McrMode::Binary);
-        ASSERT_EQ(howard.period, want) << "trial " << trial;
-        ASSERT_EQ(binary.period, want) << "trial " << trial;
+        const McrSolveResult r = solveMinPeriod(n, edges, lo, hi);
+        ASSERT_EQ(r.period, want) << "trial " << trial;
         if (want < 0) {
             ++infeasible;
             continue;
         }
         ++feasible;
-        // Bit-identical least fixed points, valid as start vectors.
-        EXPECT_EQ(howard.start, binary.start) << "trial " << trial;
-        expectValidStart(edges, howard.start, want);
-        // Minimality of the period is the oracle's claim; minimality
-        // of the starts is the LFP claim — dropping any single start
-        // by one must break a constraint or the ground.
-        EXPECT_GT(howard.stats.valueSweeps, 0u);
-        EXPECT_GT(binary.stats.relaxations, 0u);
-        EXPECT_EQ(howard.stats.relaxations, 0u);
-        EXPECT_EQ(binary.stats.valueSweeps, 0u);
+        // Minimality of the period is the cycle oracle's claim;
+        // minimality of the starts is the least-fixed-point claim.
+        EXPECT_EQ(r.start, oracleLeastFixedPoint(n, edges, want))
+            << "trial " << trial;
+        expectValidStart(edges, r.start, want);
+        EXPECT_GT(r.stats.valueSweeps, 0u);
     }
     // The mix must exercise both verdicts or the trial space is dead.
     EXPECT_GT(feasible, 50);
@@ -177,8 +195,7 @@ TEST(McrKernel, WarmKernelMatchesColdOnGrownSystems)
         const int n = rng.range(3, 6);
         std::vector<PeriodEdge> edges = randomSystem(rng, n);
         const Time hi = 200;
-        McrSolveResult prev =
-            solveMinPeriod(n, edges, 1, hi, McrMode::Howard);
+        McrSolveResult prev = solveMinPeriod(n, edges, 1, hi);
         for (int grow = 0; grow < 4 && prev.period >= 0; ++grow) {
             const int from = rng.range(0, n - 1);
             int to = rng.range(0, n - 1);
@@ -189,10 +206,10 @@ TEST(McrKernel, WarmKernelMatchesColdOnGrownSystems)
                              rng.range(0, 2)});
             const McrWarmStart warm{&prev.start, prev.period,
                                     &prev.policy};
-            const McrSolveResult w = solveMinPeriod(
-                n, edges, prev.period, hi, McrMode::Howard, warm);
-            const McrSolveResult c = solveMinPeriod(
-                n, edges, prev.period, hi, McrMode::Howard);
+            const McrSolveResult w =
+                solveMinPeriod(n, edges, prev.period, hi, warm);
+            const McrSolveResult c =
+                solveMinPeriod(n, edges, prev.period, hi);
             ASSERT_EQ(w.period, c.period);
             EXPECT_EQ(w.start, c.start);
             warmSweeps += w.stats.valueSweeps;
@@ -205,96 +222,87 @@ TEST(McrKernel, WarmKernelMatchesColdOnGrownSystems)
     EXPECT_LT(warmSweeps, coldSweeps);
 }
 
-/** Bit-identical PeriodSearch results across the two MCR modes. */
-void
-expectModesAgree(const Placement &p, int max_nr,
-                 Mem mem_limit = kUnlimitedMem)
+/**
+ * Digest of every candidate's PeriodSearch result on @p p up to
+ * @p max_nr: (feasible, period, start, windowSpan, nodes, boundPrunes)
+ * in enumeration order. The expected values were recorded while a
+ * binary-search period core still ran beside Howard and both produced
+ * these exact results and trees.
+ */
+std::string
+periodSearchDigest(const Placement &p, int max_nr,
+                   Mem mem_limit = kUnlimitedMem)
 {
+    Hasher h;
     int feasible = 0;
     for (const auto &a : allRepetends(p, max_nr)) {
-        RepetendSolveOptions howard_opts;
-        howard_opts.memLimit = mem_limit;
-        howard_opts.mcr = McrMode::Howard;
-        RepetendSolveOptions binary_opts = howard_opts;
-        binary_opts.mcr = McrMode::Binary;
-        const RepetendSchedule h = solveRepetend(p, a, howard_opts);
-        const RepetendSchedule b = solveRepetend(p, a, binary_opts);
-        ASSERT_EQ(h.feasible, b.feasible);
-        // Identical periods AND starts (the determinism contract), and
-        // identical trees: same nodes, same prune counts.
-        EXPECT_EQ(h.period, b.period);
-        EXPECT_EQ(h.start, b.start);
-        EXPECT_EQ(h.windowSpan, b.windowSpan);
-        EXPECT_EQ(h.stats.nodes, b.stats.nodes);
-        EXPECT_EQ(h.stats.boundPrunes, b.stats.boundPrunes);
-        feasible += h.feasible ? 1 : 0;
+        RepetendSolveOptions opts;
+        opts.memLimit = mem_limit;
+        const RepetendSchedule r = solveRepetend(p, a, opts);
+        h.addBool(r.feasible);
+        h.addI64(r.period);
+        h.addU64(r.start.size());
+        for (const Time t : r.start)
+            h.addI64(t);
+        h.addI64(r.windowSpan);
+        h.addU64(r.stats.nodes);
+        h.addU64(r.stats.boundPrunes);
+        feasible += r.feasible ? 1 : 0;
     }
     EXPECT_GT(feasible, 0);
+    return h.digest().hex();
 }
 
-TEST(McrModes, HowardEqualsBinaryVShape)
+TEST(McrPeriodSearch, RecordedResultsVShape)
 {
-    expectModesAgree(makeVShape(4), 3);
+    EXPECT_EQ(periodSearchDigest(makeVShape(4), 3),
+              "ebf29b9d2ec10cac9e5452ca10168ed4");
 }
 
-TEST(McrModes, HowardEqualsBinaryMShape)
+TEST(McrPeriodSearch, RecordedResultsMShape)
 {
-    expectModesAgree(makeMShape(4), 2);
+    EXPECT_EQ(periodSearchDigest(makeMShape(4), 2),
+              "66b5012f0d5453f96fdae769379942a3");
 }
 
-TEST(McrModes, HowardEqualsBinaryNnShape)
+TEST(McrPeriodSearch, RecordedResultsNnShape)
 {
-    expectModesAgree(makeNnShape(4), 2);
+    EXPECT_EQ(periodSearchDigest(makeNnShape(4), 2),
+              "dca60fc187d41e4faea6e8920fd8ce74");
 }
 
-TEST(McrModes, HowardEqualsBinaryUnderMemoryPressure)
+TEST(McrPeriodSearch, RecordedResultsUnderMemoryCap)
 {
-    expectModesAgree(makeVShape(4), 3, 4);
+    // A cap of 2 forces memory reorder branches on the V-shape (a cap
+    // of 4 binds nowhere and reproduces the uncapped digest).
+    EXPECT_EQ(periodSearchDigest(makeVShape(4), 3, 2),
+              "9c7756104a1dbde4fb0e3550c21cea17");
 }
 
-TEST(McrModes, HowardBudgetMarksUnproven)
+TEST(McrPeriodSearch, BudgetMarksUnproven)
 {
     const Placement p = makeNnShape(4);
     const auto all = allRepetends(p, 4);
     ASSERT_FALSE(all.empty());
     RepetendSolveOptions opts;
-    opts.mcr = McrMode::Howard;
     opts.nodeLimit = 1;
     const auto sched = solveRepetend(p, all[all.size() / 2], opts);
     EXPECT_FALSE(sched.proven);
 }
 
-TEST(McrModes, NodeLimitExactInBothModes)
+TEST(McrPeriodSearch, NodeLimitExact)
 {
-    // nodeLimit is counted per search node in both modes — the Howard
-    // sweep-loop stop polling must not perturb it.
+    // nodeLimit is counted per search node — the sweep-loop stop
+    // polling must not perturb it.
     const Placement p = makeNnShape(4);
     const auto all = allRepetends(p, 4);
     ASSERT_FALSE(all.empty());
-    for (const McrMode mode : {McrMode::Howard, McrMode::Binary}) {
-        RepetendSolveOptions opts;
-        opts.mcr = mode;
-        opts.nodeLimit = 5;
-        const auto sched = solveRepetend(p, all[all.size() / 2], opts);
-        EXPECT_FALSE(sched.proven);
-        EXPECT_EQ(sched.stats.nodes, 5u);
-    }
-}
-
-TEST(McrModes, DefaultModeFollowsEnvironment)
-{
-    const char *prev = std::getenv("TESSEL_MCR");
-    const std::string saved = prev ? prev : "";
-    setenv("TESSEL_MCR", "binary", 1);
-    EXPECT_EQ(defaultMcrMode(), McrMode::Binary);
-    setenv("TESSEL_MCR", "howard", 1);
-    EXPECT_EQ(defaultMcrMode(), McrMode::Howard);
-    setenv("TESSEL_MCR", "nonsense", 1);
-    EXPECT_EQ(defaultMcrMode(), McrMode::Howard);
-    unsetenv("TESSEL_MCR");
-    EXPECT_EQ(defaultMcrMode(), McrMode::Howard);
-    if (prev)
-        setenv("TESSEL_MCR", saved.c_str(), 1);
+    RepetendSolveOptions opts;
+    opts.nodeLimit = 5;
+    const auto sched = solveRepetend(p, all[all.size() / 2], opts);
+    EXPECT_FALSE(sched.proven);
+    EXPECT_EQ(sched.stats.nodes, 5u);
+    EXPECT_GT(sched.stats.valueSweeps, 0u);
 }
 
 } // namespace

@@ -175,25 +175,38 @@ TEST(TesselSearch, ReferencePlansUnderNodeBudgets)
     // the node budgets alone decide, as they do wherever the backstops
     // never bind; a Debug or sanitizer build is slow enough to hit the
     // 5 s phase backstop.
-    const std::map<std::string, std::string> digests = {
-        {"V/homogeneous", "51a433be64ed8cc318ece4f48337c2d1"},
-        {"V/mem-capped", "d5c5b0d2651ff477705167e31a5ef5dc"},
-        {"V/hetero", "0c2b5e5255ac458f654ff42ba0b1b0a4"},
-        {"X/homogeneous", "c11f7b632c25d022a271f6e66be448c5"},
-        {"X/mem-capped", "005d954bd634a5fcb924667dcdbf7f64"},
-        {"X/hetero", "69ed9bc6c48d773382981d1ca1749dd5"},
-        {"M/homogeneous", "8add0c22363a13180db3be80354b4295"},
-        {"M/mem-capped", "fcc313ff06dade2e49bf38a6484adbcf"},
-        {"M/hetero", "b8c41004c4cf166f8563e7295c7babad"},
-        {"NN/homogeneous", "5e7249cfcd5c640a0980823d78adc303"},
-        {"NN/mem-capped", "21e4a1ca5d8d4f5022a39f80d3c996c1"},
-        {"NN/hetero", "0a103c3ed661ad0e64955a90dade4a2e"},
-        {"K/homogeneous", "6d0e8dc2917b16cb9e294a3d346af46e"},
-        {"K/mem-capped", "490661564bf4770464e2a45995186228"},
-        {"K/hetero", "9bac9a052d012ee6ee04940fe8e8c7ca"},
+    //
+    // The one-thread sweep's effort is pinned too: solver nodes (period
+    // search plus phase solves) and candidates solved, recorded while a
+    // separate serial loop still ran at numThreads = 1.
+    struct Reference
+    {
+        std::string digest;
+        uint64_t solverNodes;
+        uint64_t candidatesSolved;
+    };
+    const std::map<std::string, Reference> refs = {
+        {"V/homogeneous", {"51a433be64ed8cc318ece4f48337c2d1", 223, 42}},
+        {"V/mem-capped", {"d5c5b0d2651ff477705167e31a5ef5dc", 223, 42}},
+        {"V/hetero", {"0c2b5e5255ac458f654ff42ba0b1b0a4", 5394, 808}},
+        {"X/homogeneous", {"c11f7b632c25d022a271f6e66be448c5", 699, 209}},
+        {"X/mem-capped", {"005d954bd634a5fcb924667dcdbf7f64", 296, 80}},
+        {"X/hetero", {"69ed9bc6c48d773382981d1ca1749dd5", 264820, 3901}},
+        {"M/homogeneous",
+         {"8add0c22363a13180db3be80354b4295", 98555, 1513}},
+        {"M/mem-capped", {"fcc313ff06dade2e49bf38a6484adbcf", 127, 11}},
+        {"M/hetero", {"b8c41004c4cf166f8563e7295c7babad", 273445, 535}},
+        {"NN/homogeneous",
+         {"5e7249cfcd5c640a0980823d78adc303", 1419239, 12952}},
+        {"NN/mem-capped", {"21e4a1ca5d8d4f5022a39f80d3c996c1", 1, 1}},
+        {"NN/hetero",
+         {"0a103c3ed661ad0e64955a90dade4a2e", 4372573, 40151}},
+        {"K/homogeneous", {"6d0e8dc2917b16cb9e294a3d346af46e", 183, 27}},
+        {"K/mem-capped", {"490661564bf4770464e2a45995186228", 73, 18}},
+        {"K/hetero", {"9bac9a052d012ee6ee04940fe8e8c7ca", 4942, 58}},
     };
     const std::vector<PlanQuery> queries = referenceShapeQueries(4, true, 10.0);
-    ASSERT_EQ(queries.size(), digests.size());
+    ASSERT_EQ(queries.size(), refs.size());
     for (const PlanQuery &q : queries) {
         TesselOptions opts = q.effectiveOptions();
         opts.numThreads = 1;
@@ -201,7 +214,11 @@ TEST(TesselSearch, ReferencePlansUnderNodeBudgets)
             0.0;
         const TesselResult r = tesselSearch(q.placement, opts);
         ASSERT_TRUE(r.found) << q.label;
-        EXPECT_EQ(resultPlanDigest(r).hex(), digests.at(q.label)) << q.label;
+        const Reference &ref = refs.at(q.label);
+        EXPECT_EQ(resultPlanDigest(r).hex(), ref.digest) << q.label;
+        EXPECT_EQ(r.breakdown.solverNodes, ref.solverNodes) << q.label;
+        EXPECT_EQ(r.breakdown.candidatesSolved, ref.candidatesSolved)
+            << q.label;
         EXPECT_EQ(r.breakdown.budgetExhausted, q.label == "NN/hetero")
             << q.label;
     }

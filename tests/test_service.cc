@@ -8,7 +8,7 @@
  * queue-full and per-tenant throttling rejections, graceful and
  * cancelling shutdown (cancelled answers flagged and never cached), and
  * the lock-free hot path keeping lockContended at zero on a read-only
- * trace.
+ * trace, and response lines staying valid JSON for any request id.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "placement/shapes.h"
 #include "service/loop.h"
 #include "service/service.h"
+#include "service/trace.h"
 #include "store/serialize.h"
 #include "support/io.h"
 #include "support/logging.h"
@@ -569,6 +570,25 @@ TEST(ServiceLoop, ReadOnlyHotTraceNeverContends)
     const uint64_t after = loop.service().cache().stats().lockContended;
     EXPECT_EQ(memory_hits.load(), 20 * shapes.size());
     EXPECT_EQ(after - before, 0u);
+}
+
+TEST(TraceWire, ControlBytesInIdComeBackEscaped)
+{
+    // The parser takes raw control bytes inside strings and the id is
+    // echoed in the response, which must stay one valid JSON line.
+    TraceQuery q;
+    std::string err;
+    ASSERT_TRUE(parseTraceLine(std::string("{\"id\": \"a\x01") +
+                                   "b\nc\", \"shape\": \"V\"}",
+                               &q, &err))
+        << err;
+    ASSERT_EQ(q.id, std::string("a\x01") + "b\nc");
+    const std::string line =
+        formatResponseLine(q.id, ServiceLoop::Response{});
+    EXPECT_NE(line.find("\"id\": \"a\\u0001b\\nc\""), std::string::npos)
+        << line;
+    for (const char c : line)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 
 #include "support/bitset.h"
 #include "support/io.h"
+#include "support/json.h"
 #include "support/logging.h"
 #include "support/cancel.h"
 #include "support/rng.h"
@@ -374,6 +375,23 @@ TEST(Logging, MessagesAtomicAcrossThreadPoolWorkers)
             << "suffix missing: " << line;
     }
     EXPECT_EQ(seen.size(), static_cast<size_t>(kMessages));
+}
+
+TEST(JsonEscape, EscapesQuotesBackslashesAndEveryControlByte)
+{
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("\n\t\r"), "\\n\\t\\r");
+    EXPECT_EQ(jsonEscape(std::string(1, '\0')), "\\u0000");
+    EXPECT_EQ(jsonEscape("\x01\x1f"), "\\u0001\\u001f");
+    for (int c = 0; c < 0x20; ++c) {
+        const std::string out =
+            jsonEscape(std::string(1, static_cast<char>(c)));
+        ASSERT_EQ(out[0], '\\') << c;
+        for (const char e : out)
+            EXPECT_GE(static_cast<unsigned char>(e), 0x20) << c;
+    }
+    EXPECT_EQ(jsonEscape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
 }
 
 } // namespace

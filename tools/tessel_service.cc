@@ -47,6 +47,7 @@
 #include "service/trace.h"
 #include "store/serialize.h"
 #include "support/io.h"
+#include "support/json.h"
 #include "support/metrics.h"
 #include "support/table.h"
 #include "support/tracing.h"
@@ -287,18 +288,6 @@ printReport(const BatchReport &report, const std::string &caption)
               << cs.diskHits << " disk hits, " << cs.misses << " misses, "
               << cs.stores << " stores, " << cs.verifyFailures
               << " verify failures, " << cs.evictions << " evictions\n\n";
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 bool
