@@ -30,7 +30,7 @@
  * loop's CancelSource, which resolveOptions() has linked into every
  * query's search. In-flight searches return early with their best
  * truncated answer; cancelled answers are delivered (flagged) but
- * never cached (see PlanningService::runBatch docs). Queued-but-
+ * never cached (see PlanningService::runOne docs). Queued-but-
  * unstarted queries still run — against a tripped token their search
  * returns immediately — so the exactly-one-response contract survives
  * shutdown.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <unordered_map>
 
@@ -13,15 +14,12 @@
 #include "support/timer.h"
 #include "support/tracing.h"
 
-#include <cstring>
-
 namespace tessel {
 
 PlanningService::PlanningService(ServiceOptions options)
     : options_(std::move(options)),
       cache_(options_.cacheDir,
-             PlanCacheOptions{options_.memoryCapacity,
-                              options_.verifyOnLoad})
+             PlanCacheOptions{options_.memoryCapacity})
 {
     MetricsRegistry &reg = MetricsRegistry::instance();
     metrics_.answerMemory =
@@ -64,41 +62,32 @@ PlanningService::~PlanningService()
 
 namespace {
 
-/** Resolution of one unique instance within a batch. */
-struct UniqueInstance
+/** A neighbor's adapted plan warm-starting one miss. */
+struct NeighborSeed
 {
-    Hash128 fingerprint;
-    TesselOptions effective; ///< budget/cancel/threads applied
-    int firstQuery = 0;      ///< index of the first query mapping here
-    PlanCache::Source source = PlanCache::Source::Miss;
-    bool searched = false;
-    double wallSec = 0.0;
-    TesselResult result;
-    /** Warm-start seed adapted from a neighbor; referenced by the
-     * search options, so it must outlive the solve (it does: instances
-     * live in a vector that no longer grows once solving starts). */
-    SearchSeed seed;
-    bool seeded = false;
-    std::string seededFrom; ///< neighbor fingerprint (hex) when seeded
-    /** Solver work the adaptation itself spent (retime path). */
-    SearchBreakdown seedWork;
+    SearchSeed seed;      ///< must outlive the search that points at it
+    std::string from;     ///< neighbor fingerprint (hex); empty: unseeded
+    SearchBreakdown work; ///< solver work the adaptation itself spent
 };
+
+/** Nearest stored neighbors tried per miss. */
+constexpr size_t kNeighborK = 4;
 
 /**
  * Try to warm-start a missed instance from the store's neighbor index:
  * rank stored instances by similarity, fetch each candidate raw, and
  * keep the first one that adapts into a verified plan for this query.
- * On success inst.seed carries the virtual incumbent (period + window
+ * On success out.seed carries the virtual incumbent (period + window
  * order) for the search. Failures are free beyond the adaptation
  * attempt itself — the search simply runs cold.
  */
 bool
 trySeedFromNeighbors(PlanCache &cache, const Placement &placement,
-                     UniqueInstance &inst, size_t k)
+                     const TesselOptions &eff, NeighborSeed &out)
 {
-    const InstanceMeta meta =
-        computeInstanceMeta(placement, inst.effective);
-    for (const NeighborIndex::Neighbor &near : cache.neighbors(meta, k)) {
+    const InstanceMeta meta = computeInstanceMeta(placement, eff);
+    for (const NeighborIndex::Neighbor &near :
+         cache.neighbors(meta, kNeighborK)) {
         const std::optional<TesselResult> stored =
             cache.peek(near.fingerprint);
         if (!stored)
@@ -111,43 +100,38 @@ trySeedFromNeighbors(PlanCache &cache, const Placement &placement,
         const bool phases_allowed =
             cache.neighborMeta(near.fingerprint, &stored_meta) &&
             stored_meta.phaseOptions == meta.phaseOptions;
-        AdaptOutcome adapted = adaptResultToQuery(
-            placement, inst.effective, *stored, phases_allowed);
-        inst.seedWork.merge(adapted.breakdown);
+        AdaptOutcome adapted =
+            adaptResultToQuery(placement, eff, *stored, phases_allowed);
+        out.work.merge(adapted.breakdown);
         if (!adapted.ok)
             continue;
-        inst.seed = std::move(adapted.seed);
-        inst.seeded = true;
-        inst.seededFrom = near.fingerprint.hex();
+        out.seed = std::move(adapted.seed);
+        out.from = near.fingerprint.hex();
         return true;
     }
     return false;
 }
 
 const char *
-sourceName(PlanCache::Source source, bool searched)
+sourceName(PlanCache::Source source)
 {
-    if (searched)
-        return "search";
     return source == PlanCache::Source::Memory ? "memory" : "disk";
 }
 
 /**
  * Record what every answer path reports alike about @p result: its
- * solver effort as @p span args (when non-null), and its plan hash,
- * proof status, period and effort on @p report (when non-null). A
- * stale answer stays unproven whatever its breakdown says.
+ * solver effort as @p span args, and its plan hash, proof status,
+ * period and effort on @p report (when non-null). A stale answer stays
+ * unproven whatever its breakdown says.
  */
 void
-recordAnswer(const TesselResult &result, TraceSpan *span,
+recordAnswer(const TesselResult &result, TraceSpan &span,
              QueryReport *report)
 {
     const SearchBreakdown &b = result.breakdown;
-    if (span) {
-        span->setArg("value_sweeps", b.valueSweeps);
-        span->setArg("policy_improvements", b.policyImprovements);
-        span->setArg("seed_nodes_pruned", b.seededNodesPruned);
-    }
+    span.setArg("value_sweeps", b.valueSweeps);
+    span.setArg("policy_improvements", b.policyImprovements);
+    span.setArg("seed_nodes_pruned", b.seededNodesPruned);
     if (!report)
         return;
     report->planHash = resultPlanDigest(result).hex();
@@ -159,27 +143,6 @@ recordAnswer(const TesselResult &result, TraceSpan *span,
 }
 
 } // namespace
-
-bool
-PlanningService::parallelBatch() const
-{
-    return options_.numThreads != 1 &&
-           (options_.numThreads > 1 || ThreadPool::hardwareThreads() > 1);
-}
-
-ThreadPool &
-PlanningService::pool()
-{
-    // One persistent pool per service: the daemon loop answers batches
-    // for the process lifetime, and constructing/joining a worker set
-    // per phase (the pre-daemon behavior) costs two thread-team
-    // spawn/join cycles per batch. Lazy so a serial service (or one
-    // that only ever takes the inline path) never spawns workers.
-    std::lock_guard<std::mutex> lock(poolMu_);
-    if (!pool_)
-        pool_ = std::make_unique<ThreadPool>(options_.numThreads);
-    return *pool_;
-}
 
 TesselOptions
 PlanningService::resolveOptions(const PlanQuery &query) const
@@ -198,132 +161,60 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
     BatchReport report;
     report.queries.resize(queries.size());
 
-    // Phase 1: fingerprint + dedup. Identical instances (whatever their
-    // labels) share one UniqueInstance slot.
-    std::vector<UniqueInstance> unique;
+    // Fingerprint + dedup: identical instances (whatever their labels)
+    // are answered once, by the first query that maps to them.
+    std::vector<size_t> first;                // unique instance -> query
+    std::vector<size_t> slot(queries.size()); // query -> unique instance
     std::unordered_map<Hash128, size_t, Hash128Hasher> slot_of;
-    std::vector<size_t> query_slot(queries.size());
-    const bool parallel_batch = parallelBatch();
     for (size_t q = 0; q < queries.size(); ++q) {
-        TesselOptions eff = resolveOptions(queries[q]);
-        const Hash128 fp = fingerprintQuery(queries[q].placement, eff);
-        const auto it = slot_of.find(fp);
-        if (it != slot_of.end()) {
-            query_slot[q] = it->second;
-            continue;
-        }
-        UniqueInstance inst;
-        inst.fingerprint = fp;
-        inst.effective = std::move(eff);
-        inst.firstQuery = static_cast<int>(q);
-        slot_of.emplace(fp, unique.size());
-        query_slot[q] = unique.size();
-        unique.push_back(std::move(inst));
+        const Hash128 fp =
+            fingerprintQuery(queries[q].placement, resolveOptions(queries[q]));
+        const auto inserted = slot_of.emplace(fp, first.size());
+        if (inserted.second)
+            first.push_back(q);
+        slot[q] = inserted.first->second;
     }
-    report.uniqueInstances = unique.size();
+    report.uniqueInstances = first.size();
 
-    // Phase 2: answer from the cache (memory, then verified disk). The
-    // expensive part of a disk hit — decode, comm-expansion recompute,
-    // oracle verification — runs outside the cache lock, so lookups of
-    // distinct entries fan out over the pool on warm batches. Each slot
-    // is written by exactly one task; `hit[u]` records the outcome.
-    std::vector<uint8_t> hit(unique.size(), 0);
-    auto lookup = [&](size_t u) {
-        UniqueInstance &inst = unique[u];
-        const Stopwatch watch;
-        std::optional<TesselResult> cached =
-            cache_.get(inst.fingerprint,
-                       queries[inst.firstQuery].placement, inst.effective,
-                       &inst.source);
-        inst.wallSec = watch.seconds();
-        if (cached) {
-            inst.result = std::move(*cached);
-            hit[u] = 1;
+    // One runOne per unique instance. Pooled ones search serially so
+    // batch parallelism is not multiplied by per-search parallelism;
+    // plans are identical either way (numThreads is not fingerprinted).
+    const bool parallel =
+        options_.numThreads != 1 &&
+        (options_.numThreads > 1 || ThreadPool::hardwareThreads() > 1);
+    if (parallel && first.size() > 1) {
+        // One persistent pool per service, so batches do not spawn and
+        // join a worker set each; lazy so a serial service never does.
+        std::unique_lock<std::mutex> lock(poolMu_);
+        if (!pool_)
+            pool_ = std::make_unique<ThreadPool>(options_.numThreads);
+        lock.unlock();
+        for (size_t q : first) {
+            pool_->submit([this, &queries, &report, q] {
+                PlanQuery serial = queries[q];
+                serial.options.numThreads = 1;
+                runOne(serial, &report.queries[q]);
+            });
         }
-    };
-    if (parallel_batch && unique.size() > 1) {
-        ThreadPool &p = pool();
-        for (size_t u = 0; u < unique.size(); ++u)
-            p.submit([&lookup, u] { lookup(u); });
-        p.wait();
+        pool_->wait();
     } else {
-        for (size_t u = 0; u < unique.size(); ++u)
-            lookup(u);
-    }
-    std::vector<size_t> missing;
-    for (size_t u = 0; u < unique.size(); ++u)
-        if (!hit[u])
-            missing.push_back(u);
-
-    // Phase 3: fan the misses out. A pooled solve runs its own search
-    // serially (numThreads = 1) so batch parallelism is not multiplied
-    // by per-search parallelism; with a single miss (or a serial
-    // service) the search keeps its own multi-threaded sweep. Plans are
-    // identical either way by the search's determinism contract, and
-    // numThreads is excluded from the fingerprint for the same reason.
-    auto solve = [&](size_t u, bool pooled) {
-        UniqueInstance &inst = unique[u];
-        TesselOptions opts = inst.effective;
-        if (pooled)
-            opts.numThreads = 1;
-        // Adaptation time is charged to the query's wall clock: the
-        // warm/cold comparisons the bench and CI make are only honest
-        // if the cost of obtaining the seed is part of the warm path.
-        const Stopwatch watch;
-        if (options_.neighborSeed &&
-            trySeedFromNeighbors(cache_, queries[inst.firstQuery].placement,
-                                 inst, options_.neighborK)) {
-            opts.seed = &inst.seed;
-        }
-        inst.result =
-            tesselSearch(queries[inst.firstQuery].placement, opts);
-        inst.wallSec = watch.seconds();
-        inst.searched = true;
-        inst.result.breakdown.merge(inst.seedWork);
-        // A search that observed a cancellation (daemon shutdown, batch
-        // abort) may have been truncated mid-sweep; its answer is valid
-        // for *this* caller but must not be cached — cancellation is
-        // not part of the fingerprint, so an uncancelled future query
-        // would be served the truncated plan as if fully searched.
-        if (!inst.effective.cancel.cancelled()) {
-            cache_.put(inst.fingerprint,
-                       queries[inst.firstQuery].placement, inst.effective,
-                       inst.result);
-        }
-    };
-    if (parallel_batch && missing.size() > 1) {
-        ThreadPool &p = pool();
-        for (size_t u : missing)
-            p.submit([&solve, u] { solve(u, true); });
-        p.wait();
-    } else {
-        for (size_t u : missing)
-            solve(u, false);
+        for (size_t q : first)
+            runOne(queries[q], &report.queries[q]);
     }
 
-    // Phase 4: per-query rows (deduplicated queries share the unique
-    // instance's answer and timing).
+    // Deduplicated copies share their instance's answer and timing.
     for (size_t q = 0; q < queries.size(); ++q) {
-        const UniqueInstance &inst = unique[query_slot[q]];
         QueryReport &row = report.queries[q];
-        row.label = queries[q].label;
-        row.fingerprint = inst.fingerprint.hex();
-        row.source = sourceName(inst.source, inst.searched);
-        row.wallSec = inst.wallSec;
-        recordAnswer(inst.result, nullptr, &row);
-        if (inst.seeded) {
-            row.seededFrom = inst.seededFrom;
-            row.seedMakespan = inst.result.breakdown.seedMakespan;
-            row.seedNodesPruned = inst.result.breakdown.seededNodesPruned;
-        }
-    }
-    for (const UniqueInstance &inst : unique) {
-        if (inst.searched)
-            ++report.searches;
-        else if (inst.source == PlanCache::Source::Memory)
+        if (first[slot[q]] != q) {
+            row = report.queries[first[slot[q]]];
+            row.label = queries[q].label;
+        } else if (std::strcmp(row.source, "memory") == 0) {
             ++report.memoryHits;
-        else
+        } else if (std::strcmp(row.source, "disk") == 0) {
             ++report.diskHits;
+        } else {
+            ++report.searches;
+        }
     }
 
     report.wallSec = batch_watch.seconds();
@@ -339,28 +230,25 @@ TesselResult
 PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
                             const Hash128 &fp, QueryReport *report)
 {
-    UniqueInstance inst;
-    inst.fingerprint = fp;
-    inst.effective = eff;
+    NeighborSeed neighbor;
     TesselOptions opts = eff;
     if (options_.neighborSeed) {
         TraceSpan span("seed-adapt");
-        if (trySeedFromNeighbors(cache_, query.placement, inst,
-                                 options_.neighborK)) {
-            opts.seed = &inst.seed;
-            span.setLabel(inst.seededFrom);
+        if (trySeedFromNeighbors(cache_, query.placement, eff, neighbor)) {
+            opts.seed = &neighbor.seed;
+            span.setLabel(neighbor.from);
         }
     }
     TesselResult result = tesselSearch(query.placement, opts);
-    result.breakdown.merge(inst.seedWork);
-    // Same cancellation guard as the batch path: truncated-by-cancel
-    // results answer the caller but never enter the store.
+    result.breakdown.merge(neighbor.work);
+    // A cancelled search may be truncated: it answers this caller but
+    // never enters the store (cancellation is not fingerprinted).
     if (!eff.cancel.cancelled())
         cache_.put(fp, query.placement, eff, result);
     if (report) {
         report->source = "search";
-        if (inst.seeded) {
-            report->seededFrom = inst.seededFrom;
+        if (!neighbor.from.empty()) {
+            report->seededFrom = neighbor.from;
             report->seedMakespan = result.breakdown.seedMakespan;
             report->seedNodesPruned = result.breakdown.seededNodesPruned;
         }
@@ -387,13 +275,13 @@ PlanningService::runOne(const PlanQuery &query, QueryReport *report)
     if (cached) {
         result = std::move(*cached);
         if (report)
-            report->source = sourceName(source, false);
+            report->source = sourceName(source);
     } else {
         result = searchMiss(query, eff, fp, report);
     }
     // Solver effort rides on the span so a Perfetto timeline shows what
     // each query cost, not just how long it took (zeros for cache hits).
-    recordAnswer(result, &span, report);
+    recordAnswer(result, span, report);
     if (report) {
         report->wallSec = watch.seconds();
         observeAnswer(*report);
@@ -464,7 +352,7 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
         report->degraded = removal;
     }
     auto finish = [&](TesselResult result) {
-        recordAnswer(result, &span, report);
+        recordAnswer(result, span, report);
         if (report) {
             report->wallSec = watch.seconds();
             observeAnswer(*report);
@@ -479,7 +367,7 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
     if (std::optional<TesselResult> cached =
             cache_.get(fp, drifted.placement, eff, &source)) {
         if (report)
-            report->source = sourceName(source, false);
+            report->source = sourceName(source);
         return finish(std::move(*cached));
     }
 

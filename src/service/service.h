@@ -4,12 +4,13 @@
  *
  * A batch is a list of named queries (placement x cluster config x
  * option sweep). The service fingerprints every query canonically
- * (store/fingerprint.h), deduplicates identical instances, answers what
- * it can from the two-tier plan cache, and fans the remaining unique
- * searches out over a ThreadPool with per-query budgets and cooperative
- * cancellation. Fresh results are admitted to the cache, so a repeated
- * batch — same process or a later one sharing the cache directory — is
- * answered entirely from storage with bit-identical plans.
+ * (store/fingerprint.h), deduplicates identical instances, and answers
+ * each unique instance through runOne — the daemon's path: two-tier
+ * plan cache, else a neighbor-seeded search with per-query budgets and
+ * cooperative cancellation — fanned out over a ThreadPool. Fresh
+ * results are admitted to the cache, so a repeated batch — same
+ * process or a later one sharing the cache directory — is answered
+ * entirely from storage with bit-identical plans.
  */
 
 #ifndef TESSEL_SERVICE_SERVICE_H
@@ -161,16 +162,13 @@ struct ServiceOptions
     std::string cacheDir;
     /** Memory-tier capacity (results). */
     size_t memoryCapacity = 256;
-    /** Verify disk entries via the oracle before serving them. */
-    bool verifyOnLoad = true;
     /**
-     * Workers for the cache-lookup and miss fan-outs; 0 picks
-     * hardware_concurrency(), 1 runs everything inline. Only when two
-     * or more misses actually fan out over the pool is each pooled
-     * search forced serial (numThreads = 1), so batch parallelism is
-     * not multiplied by per-search parallelism; a lone miss keeps the
-     * search's own multi-threaded sweep. Plans are identical either
-     * way by the search's determinism contract.
+     * Workers for runBatch's fan-out of unique instances; 0 picks
+     * hardware_concurrency(), 1 runs everything inline. When two or
+     * more unique instances fan out, each runOne runs on a copy of its
+     * query with numThreads = 1 (a miss in a mixed warm batch too); a
+     * lone instance keeps the search's own multi-threaded sweep. Plans
+     * are identical either way by the search's determinism contract.
      */
     int numThreads = 0;
     /** > 0 overrides every query's totalBudgetSec. */
@@ -182,8 +180,6 @@ struct ServiceOptions
      * cold searches — only how fast misses resolve.
      */
     bool neighborSeed = true;
-    /** How many nearest neighbors to try adapting per miss. */
-    size_t neighborK = 4;
     /**
      * Latency budget replan() gives the seeded foreground search
      * before falling back to the stale retimed answer (<= 0: always
@@ -234,22 +230,21 @@ class PlanningService
     explicit PlanningService(ServiceOptions options);
 
     /**
-     * Answer @p queries (dedup -> cache -> parallel search). Both
-     * fan-out phases run on one persistent ThreadPool owned by the
-     * service (created lazily on the first parallel batch and reused
-     * for the service's lifetime), so a long-running daemon does not
-     * spawn and join a worker set per batch. Not re-entrant: one batch
-     * at a time per service (concurrent runOne() calls are fine — the
-     * daemon path uses those).
-     *
-     * Results whose search observed a cancellation are NOT admitted to
-     * the cache: cancellation is not part of the fingerprint, so a
-     * truncated answer must never be served to an uncancelled query.
+     * Answer @p queries: fingerprint and deduplicate, call runOne once
+     * per unique instance — fanned out over the service's persistent,
+     * lazily built ThreadPool (see ServiceOptions::numThreads) — and
+     * copy each answer to the instance's duplicate queries. Not
+     * re-entrant: one batch at a time per service.
      */
     BatchReport runBatch(const std::vector<PlanQuery> &queries);
 
-    /** Convenience single-query path. Safe to call concurrently from
-     * any number of threads (the ServiceLoop workers do). */
+    /**
+     * Answer one query: memory tier, else a verified disk entry, else a
+     * neighbor-seeded search admitted to the cache — unless it observed
+     * a cancellation, which is not fingerprinted, so a truncated answer
+     * is never served to an uncancelled query. runBatch and the
+     * ServiceLoop workers call it concurrently from any threads.
+     */
     TesselResult runOne(const PlanQuery &query, QueryReport *report = nullptr);
 
     /**
@@ -279,17 +274,10 @@ class PlanningService
     ~PlanningService();
 
     PlanCache &cache() { return cache_; }
-    const ServiceOptions &options() const { return options_; }
 
   private:
     /** Query options with service-level budget/cancel/threading applied. */
     TesselOptions resolveOptions(const PlanQuery &query) const;
-
-    /** Whether misses fan out over a pool (forces serial searches). */
-    bool parallelBatch() const;
-
-    /** The persistent batch fan-out pool (lazily constructed). */
-    ThreadPool &pool();
 
     /** Miss pipeline shared by runOne and replan: neighbor seeding,
      * the search, conditional cache admission, report seed fields. */
@@ -321,7 +309,7 @@ class PlanningService
     ServiceMetrics metrics_;
 
     std::mutex poolMu_; ///< guards lazy pool construction
-    std::unique_ptr<ThreadPool> pool_;
+    std::unique_ptr<ThreadPool> pool_; ///< runBatch's fan-out pool
 
     /** A replan search still running after its caller stopped waiting
      * (the caller got the stale answer; the search publishes to the

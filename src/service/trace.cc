@@ -404,6 +404,31 @@ makeTraceReplan(const TraceQuery &q, std::string *err)
     return req;
 }
 
+void
+writeReportFields(std::ostream &os, const QueryReport &r)
+{
+    os << ", \"fingerprint\": \"" << r.fingerprint << "\""
+       << ", \"plan_hash\": \"" << r.planHash << "\""
+       << ", \"source\": \"" << r.source << "\""
+       << ", \"found\": " << (r.found ? "true" : "false")
+       << ", \"proven\": " << (r.proven ? "true" : "false")
+       << ", \"period\": " << r.period
+       << ", \"wall_sec\": " << jsonNumber(r.wallSec);
+    if (!r.seededFrom.empty()) {
+        os << ", \"seeded_from\": \"" << r.seededFrom << "\""
+           << ", \"seed_makespan\": " << r.seedMakespan
+           << ", \"seed_nodes_pruned\": " << r.seedNodesPruned;
+    }
+    os << ", \"value_sweeps\": " << r.valueSweeps
+       << ", \"policy_improvements\": " << r.policyImprovements;
+    if (r.replanned)
+        os << ", \"replanned\": true";
+    if (r.stale)
+        os << ", \"stale\": true";
+    if (r.degraded)
+        os << ", \"degraded\": true";
+}
+
 std::string
 formatResponseLine(const std::string &id, const ServiceLoop::Response &resp)
 {
@@ -413,24 +438,8 @@ formatResponseLine(const std::string &id, const ServiceLoop::Response &resp)
         os << "\"id\": \"" << jsonEscape(id) << "\", ";
     os << "\"admission\": \"" << admissionName(resp.admission) << "\""
        << ", \"label\": \"" << jsonEscape(resp.report.label) << "\"";
-    if (resp.admission == Admission::Accepted) {
-        os << ", \"fingerprint\": \"" << resp.report.fingerprint << "\""
-           << ", \"plan_hash\": \"" << resp.report.planHash << "\""
-           << ", \"source\": \"" << resp.report.source << "\""
-           << ", \"found\": " << (resp.report.found ? "true" : "false")
-           << ", \"proven\": " << (resp.report.proven ? "true" : "false")
-           << ", \"period\": " << resp.report.period
-           << ", \"wall_sec\": " << jsonNumber(resp.report.wallSec)
-           << ", \"value_sweeps\": " << resp.report.valueSweeps
-           << ", \"policy_improvements\": "
-           << resp.report.policyImprovements;
-        if (resp.report.replanned)
-            os << ", \"replanned\": true";
-        if (resp.report.stale)
-            os << ", \"stale\": true";
-        if (resp.report.degraded)
-            os << ", \"degraded\": true";
-    }
+    if (resp.admission == Admission::Accepted)
+        writeReportFields(os, resp.report);
     if (resp.cancelled)
         os << ", \"cancelled\": true";
     if (!resp.error.empty())

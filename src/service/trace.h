@@ -29,6 +29,7 @@
 #define TESSEL_SERVICE_TRACE_H
 
 #include <optional>
+#include <ostream>
 #include <string>
 
 #include "service/loop.h"
@@ -126,9 +127,17 @@ std::optional<ReplanRequest> makeTraceReplan(const TraceQuery &q,
                                              std::string *err);
 
 /**
+ * The one JSON writer of a QueryReport (daemon response lines and
+ * `tessel_service --json` rows): `, "key": value` pairs from
+ * "fingerprint", "plan_hash" on; seed keys only when seeded, and
+ * replanned/stale/degraded only when set.
+ */
+void writeReportFields(std::ostream &os, const QueryReport &report);
+
+/**
  * Serialize one daemon response as a JSON line (no trailing newline):
- * id, label, admission verdict, fingerprint, plan hash, source,
- * found/period/wall_sec, and the error message when any.
+ * id, admission verdict, label, the report fields when accepted
+ * (writeReportFields), and the error message when any.
  */
 std::string formatResponseLine(const std::string &id,
                                const ServiceLoop::Response &resp);

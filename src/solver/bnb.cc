@@ -15,13 +15,14 @@ namespace {
 
 /** Per-key cap on dominance entries; beyond this, insertion stops. */
 constexpr size_t kMaxEntriesPerKey = 24;
+/** Memo keys kept before insertion stops. */
+constexpr size_t kMemoCap = size_t{1} << 22;
 
 } // namespace
 
 struct BnbSolver::Impl
 {
     const SolverProblem &prob;
-    SolverOptions opts;
     int nb = 0;
     int nd = 0;
 
@@ -105,6 +106,9 @@ struct BnbSolver::Impl
         memo;
     uint32_t memoEpoch = 0;
     DomVec domScratch; // Current node's vector (reused across nodes).
+    // Knobs after the search state, so the hot fields' offsets do not
+    // move when SolverOptions gains or loses a field.
+    SolverOptions opts;
 
     explicit Impl(const SolverProblem &p, SolverOptions o)
         : prob(p), opts(o)
@@ -389,7 +393,7 @@ struct BnbSolver::Impl
         }
         entries.resize(w);
         if (entries.size() < kMaxEntriesPerKey &&
-            memo.size() < opts.memoCap) {
+            memo.size() < kMemoCap) {
             entries.emplace_back();
             entries.back().v = domScratch;
             entries.back().epoch = memoEpoch;

@@ -146,8 +146,6 @@ struct SolverOptions
     bool useDominance = true;
     /** Honor SolverBlock::orderAfter symmetry chains. */
     bool useSymmetry = true;
-    /** Maximum number of memo entries kept before insertion stops. */
-    size_t memoCap = size_t{1} << 22;
     /**
      * Keep the dominance memo alive across decide() calls on the same
      * solver (binarySearchMakespan's rounds). Sound because an entry is

@@ -485,7 +485,7 @@ PlanCache::get(const Hash128 &fp, const Placement &placement,
         loaded.ok = false;
         loaded.error = "entry fingerprint does not match its file name";
     }
-    if (loaded.ok && options_.verifyOnLoad) {
+    if (loaded.ok) {
         TraceSpan span("verify");
         const VerifyOutcome verdict =
             verifyResultAgainstQuery(placement, options, loaded.result);
@@ -678,7 +678,7 @@ PlanCache::revalidateOnce()
             continue; // concurrently removed; nothing to do
         LoadedResult loaded = deserializeResult(bytes);
         bool ok = loaded.ok && loaded.fingerprint == fp;
-        if (ok && options_.verifyOnLoad)
+        if (ok)
             ok = verifyResultSelfConsistent(loaded.result).ok;
         if (ok) {
             revalidated_.fetch_add(1, std::memory_order_relaxed);

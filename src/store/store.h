@@ -243,8 +243,6 @@ struct PlanCacheOptions
      * when smaller than `shards` the shard count is clamped down so the
      * total evictable capacity always equals this value (floored at 1). */
     size_t memoryCapacity = 256;
-    /** Re-verify disk entries via the oracle before trusting them. */
-    bool verifyOnLoad = true;
     /** Memory-tier shard count (>= 1; fingerprints hash to shards).
      * 1 restores the single-snapshot behavior with global LRU order. */
     size_t shards = 8;

@@ -10,9 +10,13 @@ namespace tessel {
 
 TraceRecorder::TraceRecorder(size_t capacity)
     : capacity_(std::max<size_t>(capacity, 2)),
-      slots_(new Slot[capacity_]),
       epoch_(std::chrono::steady_clock::now())
 {
+}
+
+TraceRecorder::~TraceRecorder()
+{
+    delete[] slots_.load(std::memory_order_acquire);
 }
 
 TraceRecorder &
@@ -25,13 +29,20 @@ TraceRecorder::instance()
 void
 TraceRecorder::setEnabled(bool on)
 {
-    enabled_.store(on, std::memory_order_relaxed);
+    if (on) {
+        // Publish the ring before the flag: a span site that sees
+        // enabled() (acquire) also sees the slots.
+        std::lock_guard<std::mutex> lock(allocMu_);
+        if (slots_.load(std::memory_order_relaxed) == nullptr)
+            slots_.store(new Slot[capacity_], std::memory_order_release);
+    }
+    enabled_.store(on, std::memory_order_release);
 }
 
 bool
 TraceRecorder::enabled() const
 {
-    return enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_acquire);
 }
 
 uint64_t
@@ -55,8 +66,11 @@ TraceRecorder::threadId()
 void
 TraceRecorder::record(const SpanRecord &rec)
 {
+    Slot *const slots = slots_.load(std::memory_order_acquire);
+    if (slots == nullptr)
+        return;
     const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-    Slot &slot = slots_[idx % capacity_];
+    Slot &slot = slots[idx % capacity_];
     // Seqlock write: mark the slot dirty (odd), fill, publish (even).
     // Generation 2*idx+2 is unique per claim, so a reader that observes
     // a changed seq knows its copy was torn.
@@ -69,12 +83,15 @@ TraceRecorder::record(const SpanRecord &rec)
 std::vector<SpanRecord>
 TraceRecorder::collect() const
 {
+    const Slot *const slots = slots_.load(std::memory_order_acquire);
+    if (slots == nullptr)
+        return {};
     // Oldest-first sweep: start at the slot the next write would claim.
     const uint64_t head = next_.load(std::memory_order_acquire);
     std::vector<SpanRecord> out;
     out.reserve(std::min<uint64_t>(head, capacity_));
     for (size_t off = 0; off < capacity_; ++off) {
-        const Slot &slot = slots_[(head + off) % capacity_];
+        const Slot &slot = slots[(head + off) % capacity_];
         const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
         if (s1 == 0 || (s1 & 1) != 0)
             continue; // never written, or a writer is mid-fill

@@ -12,7 +12,7 @@
  * running concurrently with writers drops torn slots instead of
  * emitting garbage.
  *
- * Tracing is off by default (a single relaxed load per span site);
+ * Tracing is off by default (one load per span site, no ring built);
  * `tessel_service --trace-out FILE` switches it on. Span names and arg
  * keys must be string literals (the recorder stores the pointers).
  *
@@ -29,7 +29,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,23 +55,29 @@ struct SpanRecord
 class TraceRecorder
 {
   public:
-    /** @param capacity slots in the ring (rounded up to at least 2). */
+    /** @param capacity slots in the ring (rounded up to at least 2),
+     *  allocated on the first setEnabled(true). */
     explicit TraceRecorder(size_t capacity = 1 << 16);
+    ~TraceRecorder();
+    TraceRecorder(const TraceRecorder &) = delete;
+    TraceRecorder &operator=(const TraceRecorder &) = delete;
 
     /** The process-wide recorder (64 Ki spans). */
     static TraceRecorder &instance();
 
-    /** Turn recording on or off (off: span sites cost one relaxed
-     *  load). Enabling does not clear previously recorded spans. */
+    /** Turn recording on or off (off: span sites cost one load). The
+     *  first enable allocates the ring; enabling again does not clear
+     *  previously recorded spans. */
     void setEnabled(bool on);
     bool enabled() const;
 
-    /** Commit one completed span (wait-free; overwrites oldest). */
+    /** Commit one completed span (wait-free; overwrites oldest). A
+     *  no-op until the ring exists. */
     void record(const SpanRecord &rec);
 
-    /** Copy out the currently held spans, oldest first. Safe to call
-     *  while writers are active: slots being overwritten mid-copy are
-     *  skipped. */
+    /** Copy out the currently held spans, oldest first ({} when the
+     *  recorder was never enabled). Safe to call while writers are
+     *  active: slots being overwritten mid-copy are skipped. */
     std::vector<SpanRecord> collect() const;
 
     /** Total spans ever recorded (>= collect().size()). */
@@ -95,7 +101,9 @@ class TraceRecorder
     };
 
     size_t capacity_;
-    std::unique_ptr<Slot[]> slots_;
+    /** Null until the first enable publishes it ahead of enabled_. */
+    std::atomic<Slot *> slots_{nullptr};
+    std::mutex allocMu_; ///< serializes the one-time allocation
     std::atomic<uint64_t> next_{0};
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_;

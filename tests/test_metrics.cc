@@ -340,6 +340,37 @@ TEST(Tracing, DisabledSpansCostNothingAndRecordNothing)
     EXPECT_TRUE(rec.collect().empty());
 }
 
+TEST(Tracing, RingBuiltOnFirstEnableAndKeptAcrossToggles)
+{
+    TraceRecorder rec(/*capacity=*/4);
+    // Never enabled: no ring, so a direct record() is dropped.
+    SpanRecord direct;
+    direct.name = "early";
+    rec.record(direct);
+    EXPECT_EQ(rec.recorded(), 0u);
+    EXPECT_TRUE(rec.collect().empty());
+
+    rec.setEnabled(true);
+    {
+        TraceSpan span("first", rec);
+        EXPECT_TRUE(span.active());
+    }
+    std::vector<SpanRecord> spans = rec.collect();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_STREQ(spans[0].name, "first");
+
+    // Disable then re-enable keeps the ring and what it holds.
+    rec.setEnabled(false);
+    rec.setEnabled(true);
+    {
+        TraceSpan span("second", rec);
+    }
+    spans = rec.collect();
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_STREQ(spans[0].name, "first");
+    EXPECT_STREQ(spans[1].name, "second");
+}
+
 TEST(Tracing, CollectWhileWritingDropsTornSlotsOnly)
 {
     TraceRecorder rec(/*capacity=*/32);

@@ -9,10 +9,13 @@
  * cancelling shutdown (cancelled answers flagged and never cached), and
  * the lock-free hot path keeping lockContended at zero on a read-only
  * trace, and response lines staying valid JSON for any request id.
+ * Batch rows are pinned to runOne: same answers, one `query` span per
+ * unique instance.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -27,6 +30,7 @@
 #include "store/serialize.h"
 #include "support/io.h"
 #include "support/logging.h"
+#include "support/tracing.h"
 
 namespace tessel {
 namespace {
@@ -197,6 +201,64 @@ TEST(PlanningService, ParallelFanOutMatchesSerial)
     // The pool fan-out must not change any plan (determinism contract).
     EXPECT_EQ(hashes(a), hashes(b));
     EXPECT_EQ(b.searches, b.uniqueInstances);
+}
+
+TEST(PlanningService, BatchRowsEqualRunOne)
+{
+    std::string batch_dir, single_dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-batch-rows-", &batch_dir));
+    ASSERT_TRUE(makeTempDir("tessel-svc-run-one-", &single_dir));
+    std::vector<PlanQuery> batch = smallBatch();
+    batch.push_back(
+        *referenceShapeQuery("V", "hetero", 4, /*budget_sec=*/5.0));
+
+    // A batch row is exactly what runOne reports for the same query
+    // on a fresh service that saw the same queries in the same order
+    // (so neighbor seeding sees the same store).
+    PlanningService batch_service(optionsFor(batch_dir));
+    const BatchReport report = batch_service.runBatch(batch);
+    PlanningService single(optionsFor(single_dir));
+    ASSERT_EQ(report.queries.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        QueryReport one;
+        single.runOne(batch[i], &one);
+        const QueryReport &row = report.queries[i];
+        EXPECT_EQ(row.label, one.label);
+        EXPECT_EQ(row.fingerprint, one.fingerprint) << row.label;
+        EXPECT_EQ(row.planHash, one.planHash) << row.label;
+        EXPECT_STREQ(row.source, one.source) << row.label;
+        EXPECT_EQ(row.found, one.found) << row.label;
+        EXPECT_EQ(row.proven, one.proven) << row.label;
+        EXPECT_EQ(row.period, one.period) << row.label;
+        EXPECT_EQ(row.seededFrom, one.seededFrom) << row.label;
+    }
+}
+
+TEST(PlanningService, BatchAnswersAreQuerySpans)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-spans-", &dir));
+    const PlanQuery v = *referenceShapeQuery("V", "homogeneous", 4, 5.0);
+    const PlanQuery x = *referenceShapeQuery("X", "homogeneous", 4, 5.0);
+    PlanQuery copy = v;
+    copy.label = "V/copy";
+
+    TraceRecorder &rec = TraceRecorder::instance();
+    const uint64_t start = rec.nowMicros();
+    rec.setEnabled(true);
+    PlanningService service(optionsFor(dir));
+    const BatchReport report = service.runBatch({v, x, copy});
+    rec.setEnabled(false);
+    EXPECT_EQ(report.uniqueInstances, 2u);
+
+    // One `query` span per unique instance, labelled by the first
+    // query that mapped to it; the duplicate adds none.
+    std::vector<std::string> labels;
+    for (const SpanRecord &s : rec.collect())
+        if (s.tsMicros >= start && std::string(s.name) == "query")
+            labels.emplace_back(s.label);
+    std::sort(labels.begin(), labels.end());
+    EXPECT_EQ(labels, (std::vector<std::string>{v.label, x.label}));
 }
 
 TEST(PlanningService, PerQueryBudgetOverrideChangesIdentity)

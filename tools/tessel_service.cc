@@ -299,19 +299,9 @@ writeStatsJson(const std::string &path, const BatchReport &report)
     out << "{\n  \"queries\": [\n";
     for (size_t i = 0; i < report.queries.size(); ++i) {
         const QueryReport &q = report.queries[i];
-        out << "    {\"label\": \"" << jsonEscape(q.label)
-            << "\", \"fingerprint\": \"" << q.fingerprint
-            << "\", \"plan_hash\": \"" << q.planHash << "\", \"source\": \""
-            << q.source << "\", \"found\": " << (q.found ? "true" : "false")
-            << ", \"proven\": " << (q.proven ? "true" : "false")
-            << ", \"period\": " << q.period
-            << ", \"wall_sec\": " << q.wallSec << ", \"seeded_from\": \""
-            << q.seededFrom << "\", \"seed_makespan\": " << q.seedMakespan
-            << ", \"seed_nodes_pruned\": " << q.seedNodesPruned
-            << ", \"value_sweeps\": " << q.valueSweeps
-            << ", \"policy_improvements\": " << q.policyImprovements
-            << "}"
-            << (i + 1 < report.queries.size() ? "," : "") << "\n";
+        out << "    {\"label\": \"" << jsonEscape(q.label) << "\"";
+        writeReportFields(out, q);
+        out << "}" << (i + 1 < report.queries.size() ? "," : "") << "\n";
     }
     const StoreStats &cs = report.cacheStats;
     out << "  ],\n"
