@@ -89,7 +89,7 @@ McrCore::reset(int num_nodes)
  */
 McrCore::Sweep
 McrCore::evaluate(Time period, std::vector<Time> &s, bool keep_policy,
-                  McrStats &stats, const std::function<bool()> &stop)
+                  SolveStats &stats, const std::function<bool()> &stop)
 {
     if (!keep_policy)
         std::fill(policy_.begin(), policy_.end(), -1);
@@ -240,7 +240,7 @@ McrCore::policyCycleReps(std::vector<int> &reps)
 Time
 McrCore::minPeriod(const PeriodEdge *edges, size_t num_edges, Time lo,
                    Time hi, const McrWarmStart &warm, std::vector<Time> &s,
-                   std::vector<int> *policy_out, McrStats &stats,
+                   std::vector<int> *policy_out, SolveStats &stats,
                    const std::function<bool()> &stop)
 {
     if (lo > hi)
@@ -353,8 +353,6 @@ class PeriodSearch
             return out;
         }
         recurse(0, 0, McrWarmStart{});
-        stats_.valueSweeps = mcrStats_.valueSweeps;
-        stats_.policyImprovements = mcrStats_.policyImprovements;
         out.stats = stats_;
         out.stats.seconds = budget_.elapsed();
         out.proven = !stats_.budgetExhausted;
@@ -480,7 +478,7 @@ class PeriodSearch
         const Time period = mcr_.minPeriod(
             edges_.data(), edges_.size(), lo, hi,
             opts_.warmStart ? warm : McrWarmStart{}, f.s, &f.policy,
-            mcrStats_, stopCb_);
+            stats_, stopCb_);
         if (period < 0)
             return -1;
         child_out = {&f.s, period, &f.policy};
@@ -698,7 +696,6 @@ class PeriodSearch
     FramePool<Frame> frames_;
     std::vector<int> order_;  // findMemoryViolation sort buffer.
     McrCore mcr_;             // Minimal-period kernel + its scratch.
-    McrStats mcrStats_;
     std::function<bool()> stopCb_;
     uint64_t pollGate_ = 0;   // Throttles clock/cancel polling.
     bool stopped_ = false;    // Sticky budget/cancel trip.

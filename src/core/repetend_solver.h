@@ -47,15 +47,6 @@ struct PeriodEdge
     int h;
 };
 
-/** Effort counters of the MCR kernel (see SolveStats for semantics). */
-struct McrStats
-{
-    /** Value-evaluation sweeps spent by policy-iteration rounds. */
-    uint64_t valueSweeps = 0;
-    /** Howard policy improvements (period raises from a cycle). */
-    uint64_t policyImprovements = 0;
-};
-
 /**
  * Warm-start handle for McrCore::minPeriod: a borrowed ancestor
  * solution of a *weaker* system (a subset of the probe's edges).
@@ -109,20 +100,22 @@ class McrCore
      * improving-edge forest — the seed descendants probing the same
      * period should inherit.
      *
+     * Counts valueSweeps and policyImprovements into @p stats.
+     *
      * @p stop is polled once per sweep; returning true abandons the
      * solve with -1 and the caller must treat the result as unproven
      * rather than infeasible.
      */
     Time minPeriod(const PeriodEdge *edges, size_t num_edges, Time lo,
                    Time hi, const McrWarmStart &warm, std::vector<Time> &s,
-                   std::vector<int> *policy_out, McrStats &stats,
+                   std::vector<int> *policy_out, SolveStats &stats,
                    const std::function<bool()> &stop);
 
   private:
     enum class Sweep { Fixpoint, PositiveCycle, Stopped };
 
     Sweep evaluate(Time period, std::vector<Time> &s, bool keep_policy,
-                   McrStats &stats, const std::function<bool()> &stop);
+                   SolveStats &stats, const std::function<bool()> &stop);
     void policyCycleReps(std::vector<int> &reps);
 
     int k_ = 0;
@@ -149,7 +142,8 @@ struct McrSolveResult
     /** Converged improving-edge forest at `period`, reusable as
      *  McrWarmStart::policy for a grown edge system. */
     std::vector<int> policy;
-    McrStats stats;
+    /** Kernel effort: valueSweeps and policyImprovements. */
+    SolveStats stats;
 };
 
 /**

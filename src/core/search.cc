@@ -90,17 +90,6 @@ postWindowMem(const Placement &placement, const RepetendAssignment &assign,
     return mem;
 }
 
-/** Fold one inner solve's effort counters into the breakdown. */
-void
-addSolveStats(SearchBreakdown &breakdown, const SolveStats &stats)
-{
-    breakdown.solverNodes += stats.nodes;
-    breakdown.valueSweeps += stats.valueSweeps;
-    breakdown.policyImprovements += stats.policyImprovements;
-    breakdown.memoReused += stats.memoReused;
-    breakdown.seededNodesPruned += stats.seedPrunes;
-}
-
 /**
  * Project the seed's steady-state layout onto a phase block set: block
  * (spec, mb) is suggested at windowStart[spec] + mb * period, the start
@@ -145,7 +134,7 @@ phaseSatisfiable(const Placement &placement,
         so.seedPriority = &prio;
     BnbSolver solver(inst.sp, so);
     const SolveResult r = solver.decide(kUnlimitedMem);
-    addSolveStats(breakdown, r.stats);
+    breakdown.addSolve(r.stats);
     return r.feasible();
 }
 
@@ -194,7 +183,7 @@ minimizePhase(const PhaseInstance &inst, const TesselOptions &options,
     so.cancel = cancel;
     BnbSolver solver(inst.sp, so);
     const SolveResult r = solver.minimizeMakespan();
-    addSolveStats(breakdown, r.stats);
+    breakdown.addSolve(r.stats);
     if (cut && r.status == SolveStatus::Feasible)
         *cut = true;
     return r;
@@ -477,7 +466,7 @@ class SweepState
             solveRepetend(placement_, assign, rso);
         local.repetendSeconds += watch.seconds();
         ++local.candidatesSolved;
-        addSolveStats(local, sched.stats);
+        local.addSolve(sched.stats);
         if (sched.stats.cancelled)
             ++local.candidatesCancelled;
 

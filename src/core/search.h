@@ -153,8 +153,6 @@ struct SearchBreakdown
     /** Howard policy improvements (period raises) across repetend
      * solves. */
     uint64_t policyImprovements = 0;
-    /** Cross-round dominance-memo reuses inside BnB solves. */
-    uint64_t memoReused = 0;
     int threadsUsed = 1;          ///< sweep worker count actually used
     bool earlyExit = false;       ///< lower bound reached (Algorithm 1 L19)
     /** The answer is not proven optimal: totalBudgetSec cut the sweep,
@@ -168,6 +166,16 @@ struct SearchBreakdown
      * still seed-derived (no candidate of this search had been accepted
      * yet) — the "nodes saved vs cold" estimate. */
     uint64_t seededNodesPruned = 0;
+
+    /** Fold one inner solve's effort counters into the breakdown. */
+    void
+    addSolve(const SolveStats &stats)
+    {
+        solverNodes += stats.nodes;
+        valueSweeps += stats.valueSweeps;
+        policyImprovements += stats.policyImprovements;
+        seededNodesPruned += stats.seedPrunes;
+    }
 
     /**
      * Fold @p other into this accumulator. Commutative and
@@ -187,7 +195,6 @@ struct SearchBreakdown
         solverNodes += other.solverNodes;
         valueSweeps += other.valueSweeps;
         policyImprovements += other.policyImprovements;
-        memoReused += other.memoReused;
         threadsUsed = threadsUsed > other.threadsUsed ? threadsUsed
                                                       : other.threadsUsed;
         earlyExit |= other.earlyExit;

@@ -4,7 +4,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "placement/shapes.h"
 #include "support/json.h"
@@ -123,9 +126,16 @@ struct Scanner
             ++i;
         if (i == start)
             return fail("expected value");
+        // The number must be the whole token: "4-2" is not 4.
+        const std::string token = s.substr(start, i - start);
+        size_t used = 0;
         try {
-            *num = std::stod(s.substr(start, i - start));
+            *num = std::stod(token, &used);
         } catch (...) {
+            used = 0;
+        }
+        if (used == 0 || used != token.size()) {
+            i = start;
             return fail("bad number");
         }
         return true;
@@ -160,11 +170,15 @@ parseTraceLine(const std::string &line, TraceQuery *out, std::string *err)
         return bail(sc.err);
     sc.skipWs();
     bool sawShape = false;
+    std::vector<std::string> seen;
+    seen.reserve(16);
     if (sc.i < sc.s.size() && sc.s[sc.i] != '}') {
         for (;;) {
             std::string key;
             if (!sc.parseString(&key))
                 return bail(sc.err);
+            if (std::find(seen.begin(), seen.end(), key) != seen.end())
+                return bail("duplicate key \"" + key + "\"");
             if (!sc.expect(':'))
                 return bail(sc.err);
             std::string sval;
@@ -185,8 +199,18 @@ parseTraceLine(const std::string &line, TraceQuery *out, std::string *err)
                 *dst = nval;
                 return true;
             };
+            // Integer keys take a finite, integral value in the range
+            // of their field; a cast of anything else is undefined.
+            auto wantInt = [&](auto *dst) {
+                using T = std::remove_pointer_t<decltype(dst)>;
+                const double lo = std::numeric_limits<T>::min();
+                if (isString || !std::isfinite(nval) ||
+                    nval != std::trunc(nval) || nval < lo || nval >= -lo)
+                    return bail("key \"" + key + "\" wants an integer");
+                *dst = static_cast<T>(nval);
+                return true;
+            };
 
-            double tmp = 0.0;
             if (key == "id") {
                 if (!wantString(&q.id))
                     return false;
@@ -204,35 +228,29 @@ parseTraceLine(const std::string &line, TraceQuery *out, std::string *err)
                 if (!wantString(&q.tenant))
                     return false;
             } else if (key == "devices") {
-                if (!wantNumber(&tmp))
+                if (!wantInt(&q.devices))
                     return false;
-                q.devices = static_cast<int>(tmp);
             } else if (key == "budget_sec") {
                 if (!wantNumber(&q.budgetSec))
                     return false;
             } else if (key == "nr_cap") {
-                if (!wantNumber(&tmp))
+                if (!wantInt(&q.nrCap))
                     return false;
-                q.nrCap = static_cast<int>(tmp);
             } else if (key == "mem_limit") {
-                if (!wantNumber(&tmp))
+                if (!wantInt(&q.memLimit))
                     return false;
-                q.memLimit = static_cast<long long>(tmp);
             } else if (key == "drift_device") {
-                if (!wantNumber(&tmp))
+                if (!wantInt(&q.driftDevice))
                     return false;
-                q.driftDevice = static_cast<int>(tmp);
             } else if (key == "drift_speed") {
                 if (!wantNumber(&q.driftSpeed))
                     return false;
             } else if (key == "drift_src") {
-                if (!wantNumber(&tmp))
+                if (!wantInt(&q.driftSrc))
                     return false;
-                q.driftSrc = static_cast<int>(tmp);
             } else if (key == "drift_dst") {
-                if (!wantNumber(&tmp))
+                if (!wantInt(&q.driftDst))
                     return false;
-                q.driftDst = static_cast<int>(tmp);
             } else if (key == "drift_latency") {
                 if (!wantNumber(&q.driftLatency))
                     return false;
@@ -240,12 +258,12 @@ parseTraceLine(const std::string &line, TraceQuery *out, std::string *err)
                 if (!wantNumber(&q.driftTimePerMB))
                     return false;
             } else if (key == "fail_device") {
-                if (!wantNumber(&tmp))
+                if (!wantInt(&q.failDevice))
                     return false;
-                q.failDevice = static_cast<int>(tmp);
             }
             // Unknown keys: parsed and dropped (forward compatibility).
 
+            seen.push_back(std::move(key));
             sc.skipWs();
             if (sc.i < sc.s.size() && sc.s[sc.i] == ',') {
                 ++sc.i;

@@ -21,8 +21,10 @@
  *
  * The parser accepts exactly the flat-object subset the format needs
  * (string / number / bool values, no nesting) and rejects anything
- * malformed with a per-line error instead of crashing the daemon;
- * unknown keys are ignored for forward compatibility.
+ * malformed with a per-line error instead of crashing the daemon: a
+ * number must be its whole token, an integer key must hold an integral
+ * value in its field's range, and a key may appear once. Unknown keys
+ * are ignored for forward compatibility.
  */
 
 #ifndef TESSEL_SERVICE_TRACE_H

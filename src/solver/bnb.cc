@@ -85,26 +85,12 @@ struct BnbSolver::Impl
     using DomVec = std::vector<Time>;
 
     /**
-     * One dominance-memo entry. `epoch` stamps the run() that last
-     * inserted it: same-epoch entries prune duplicates within a round
-     * exactly as before. `exhaustedAt` is a cross-round proof level —
-     * the entry's subtree was exhaustively explored in some decide()
-     * round with deadline `exhaustedAt` without finding a schedule, so
-     * no completion with makespan <= exhaustedAt exists below it and
-     * any later round with deadline <= exhaustedAt may prune dominated
-     * states outright. Entries whose exploration was cut short (early
-     * SAT stop, budget trip) keep exhaustedAt = -1 and never prune
-     * across rounds.
+     * Dominance memo of the current run(): scheduled set -> vectors of
+     * the states already expanded with that set. A state dominated by
+     * an entry is a visited duplicate (or worse) and is pruned.
+     * resetDynamic() clears it, so nothing carries across calls.
      */
-    struct MemoEntry
-    {
-        DomVec v;
-        Time exhaustedAt = -1;
-        uint32_t epoch = 0;
-    };
-    std::unordered_map<BlockSet, std::vector<MemoEntry>, BlockSetHash>
-        memo;
-    uint32_t memoEpoch = 0;
+    std::unordered_map<BlockSet, std::vector<DomVec>, BlockSetHash> memo;
     DomVec domScratch; // Current node's vector (reused across nodes).
     // Knobs after the search state, so the hot fields' offsets do not
     // move when SolverOptions gains or loses a field.
@@ -229,9 +215,7 @@ struct BnbSolver::Impl
         stop = false;
         provenInfeasibleDisabled = false;
         stats = SolveStats{};
-        if (!opts.persistentMemo)
-            memo.clear();
-        ++memoEpoch;
+        memo.clear();
         savedAvail.reset(nb + 1, nd);
         savedMem.reset(nb + 1, nd);
         readyList.clear();
@@ -331,74 +315,34 @@ struct BnbSolver::Impl
 
     /**
      * @return true when the current state is dominated (prune it).
-     * Otherwise inserts the state and points @p slot at the new entry
-     * (left null when the entry caps forbid insertion) so search() can
-     * record the exhaustion proof level on clean backtrack.
-     *
-     * A dominating entry prunes when it is from the current round
-     * (visited-duplicate semantics, unchanged) or when its recorded
-     * proof level covers the current @p limit (cross-round reuse).
-     * Entry references stay valid for the whole subtree: rehashing
-     * never invalidates unordered_map references, and the bucket
-     * vector only mutates on same-key visits, which share this node's
-     * depth and therefore cannot occur inside its subtree.
+     * Otherwise drops the entries the state dominates and inserts it,
+     * unless the entry caps forbid insertion.
      */
     bool
-    checkAndInsertMemo(Time limit, MemoEntry *&slot)
+    checkAndInsertMemo()
     {
         if (!opts.useDominance)
             return false;
         auto &entries = memo[schedSet];
         buildDomVector(domScratch);
-        MemoEntry *refresh = nullptr;
-        for (MemoEntry &e : entries) {
-            if (!dominates(e.v, domScratch))
-                continue;
-            if (e.epoch == memoEpoch) {
+        for (const DomVec &e : entries)
+            if (dominates(e, domScratch)) {
                 ++stats.memoHits;
                 return true;
             }
-            if (e.exhaustedAt >= 0 && limit <= e.exhaustedAt) {
-                ++stats.memoHits;
-                ++stats.memoReused;
-                return true;
-            }
-            if (!refresh && dominates(domScratch, e.v))
-                refresh = &e;
-        }
-        if (refresh) {
-            // Equal-vector stale entry: adopt it in place instead of
-            // drop-and-reinsert, keeping any exhaustion proof it holds
-            // (the proof is a fact about the state, not the round) in
-            // case this round's re-exploration is cut short.
-            refresh->epoch = memoEpoch;
-            slot = refresh;
-            return false;
-        }
-        // Drop entries the current state dominates (stale equal states
-        // are refreshed this way) plus dead old-epoch ones — an entry
-        // from an earlier round that never earned a proof level can
-        // never prune again and must not clog the per-key cap. Then
-        // insert, reusing storage.
+        // Drop entries the current state dominates, then insert,
+        // reusing storage.
         size_t w = 0;
         for (size_t r = 0; r < entries.size(); ++r) {
-            if (dominates(domScratch, entries[r].v))
-                continue;
-            if (entries[r].epoch != memoEpoch &&
-                entries[r].exhaustedAt < 0)
+            if (dominates(domScratch, entries[r]))
                 continue;
             if (w != r)
                 entries[w] = std::move(entries[r]);
             ++w;
         }
         entries.resize(w);
-        if (entries.size() < kMaxEntriesPerKey &&
-            memo.size() < kMemoCap) {
-            entries.emplace_back();
-            entries.back().v = domScratch;
-            entries.back().epoch = memoEpoch;
-            slot = &entries.back();
-        }
+        if (entries.size() < kMaxEntriesPerKey && memo.size() < kMemoCap)
+            entries.push_back(domScratch);
         return false;
     }
 
@@ -503,8 +447,7 @@ struct BnbSolver::Impl
             ++stats.boundPrunes;
             return;
         }
-        MemoEntry *slot = nullptr;
-        if (checkAndInsertMemo(limit, slot))
+        if (checkAndInsertMemo())
             return;
 
         // Gather dispatchable candidates from the ready list. The
@@ -563,7 +506,7 @@ struct BnbSolver::Impl
             Mem *saved_mem = savedMem.row(depth);
             for (const Cand &c : cands) {
                 if (stop)
-                    return; // Unwinding: leave the entry unexhausted.
+                    return;
                 const Time saved_makespan = curMakespan;
                 dispatch(c.block, c.est, saved_avail, saved_mem);
                 curMakespan = std::max(curMakespan, finishOf[c.block]);
@@ -571,16 +514,6 @@ struct BnbSolver::Impl
                 undo(c.block, saved_makespan, saved_avail, saved_mem);
             }
         }
-        // Subtree exhausted without a stop: in decide mode that proves
-        // no completion with makespan <= deadline exists below this
-        // state (bound prunes are admissible at `limit`, memo prunes
-        // certify inductively), so later rounds with deadlines <= limit
-        // may prune dominated states from this entry. An empty
-        // candidate set (memory deadlock / all pruned) is exhausted
-        // too. Minimize mode keeps no proof level: its limit tightens
-        // mid-subtree with the incumbent and liveCutoff.
-        if (slot && decideMode && !stop)
-            slot->exhaustedAt = std::max(slot->exhaustedAt, limit);
     }
 
     SolveResult

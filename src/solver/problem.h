@@ -85,10 +85,6 @@ struct SolveStats
     /** Insertions into the incrementally maintained ready list (BnB);
      *  proportional to dependency-edge work, not node count x blocks. */
     uint64_t readyPushes = 0;
-    /** Dominance prunes served by memo entries proven exhausted in an
-     *  earlier decide() round on the same solver (persistent-memo
-     *  reuse inside binarySearchMakespan). */
-    uint64_t memoReused = 0;
     /** Bound prunes taken while the solve's cutoff was still inherited
      *  from a warm-start seed (RepetendSolveOptions::cutoffFromSeed)
      *  rather than from a candidate the enclosing search accepted
@@ -112,7 +108,6 @@ struct SolveStats
         valueSweeps += other.valueSweeps;
         policyImprovements += other.policyImprovements;
         readyPushes += other.readyPushes;
-        memoReused += other.memoReused;
         seedPrunes += other.seedPrunes;
         return *this;
     }
@@ -146,18 +141,6 @@ struct SolverOptions
     bool useDominance = true;
     /** Honor SolverBlock::orderAfter symmetry chains. */
     bool useSymmetry = true;
-    /**
-     * Keep the dominance memo alive across decide() calls on the same
-     * solver (binarySearchMakespan's rounds). Sound because an entry is
-     * only reused across rounds once its subtree was exhaustively
-     * explored under some deadline L without finding a schedule — a
-     * proof that no completion with makespan <= L exists below it,
-     * which prunes any later round whose deadline is <= L. Entries cut
-     * short by a budget trip or an early SAT stop never earn a proof
-     * level and cannot prune later rounds. false clears the memo every
-     * round (the cold baseline for the counter-regression tests).
-     */
-    bool persistentMemo = true;
     /** Cooperative cancellation, polled alongside the time budget. A
      *  cancelled solve reports stats.cancelled and never claims
      *  Infeasible. */

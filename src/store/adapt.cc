@@ -249,9 +249,7 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
     const RepetendSchedule sched =
         solveRepetend(*solve_placement, assign, rso);
     out.breakdown.candidatesSolved = 1;
-    out.breakdown.solverNodes += sched.stats.nodes;
-    out.breakdown.valueSweeps += sched.stats.valueSweeps;
-    out.breakdown.policyImprovements += sched.stats.policyImprovements;
+    out.breakdown.addSolve(sched.stats);
     if (!sched.feasible) {
         out.reason = "repetend re-solve infeasible under the query";
         return out;

@@ -130,10 +130,10 @@ writeBreakdown(ByteWriter &w, const SearchBreakdown &b)
     w.u64(b.candidatesCancelled);
     w.u64(b.satChecks);
     w.u64(b.solverNodes);
-    // Reserved: a retired counter's slot, written as 0 so the format
+    // Reserved: two retired counters' slots, written as 0 so the format
     // (and every plan digest) stays unchanged.
     w.u64(0);
-    w.u64(b.memoReused);
+    w.u64(0);
     w.i32(b.threadsUsed);
     w.boolean(b.earlyExit);
     w.boolean(b.budgetExhausted);
@@ -467,7 +467,7 @@ readBreakdown(ByteReader &r, SearchBreakdown *b)
            r.f64(&b->cooldownSeconds) && r.u64(&b->candidatesEnumerated) &&
            r.u64(&b->candidatesSolved) && r.u64(&b->candidatesCancelled) &&
            r.u64(&b->satChecks) && r.u64(&b->solverNodes) &&
-           r.u64(&reserved) && r.u64(&b->memoReused) &&
+           r.u64(&reserved) && r.u64(&reserved) &&
            r.i32(&b->threadsUsed) && r.boolean(&b->earlyExit) &&
            r.boolean(&b->budgetExhausted);
 }

@@ -3,12 +3,11 @@
  * Counter-regression tests for the incremental solver hot paths: the
  * warm-started PeriodSearch must produce bit-identical periods and
  * start vectors while spending strictly fewer policy-evaluation sweeps
- * than the cold path, and the persistent dominance memo must
- * leave binarySearchMakespan's answer unchanged while expanding
- * strictly fewer nodes than cold per-round re-solves. The instances
- * are fixed (GPT M-shape, mT5 NN-shape) and every solver involved is
- * deterministic, so the assertions lock exact effort reductions, not
- * just statistical tendencies.
+ * than the cold path, and a BnB solver reused across calls must answer
+ * exactly like fresh solvers. The instances are fixed (GPT M-shape,
+ * mT5 NN-shape, V-shape) and every solver involved is deterministic,
+ * so the assertions lock exact effort reductions, not just
+ * statistical tendencies.
  */
 
 #include <gtest/gtest.h>
@@ -95,80 +94,50 @@ TEST(IncrementalSolver, WarmStartIdenticalUnderMemoryPressure)
     expectWarmIdenticalAndCheaper(makeVShape(4), 3, 2);
 }
 
-/** Run warm/cold binarySearchMakespan on @p sp and compare. */
+/**
+ * binarySearchMakespan on one reused solver must land on a fresh
+ * solver's minimizeMakespan optimum.
+ */
 void
-expectPersistentMemoCheaper(const SolverProblem &sp, uint64_t &warm_nodes,
-                            uint64_t &cold_nodes, uint64_t &reused)
+expectBinaryMatchesMinimize(const SolverProblem &sp)
 {
-    BnbSolver warm_solver(sp);
-    SolverOptions cold_opts;
-    cold_opts.persistentMemo = false;
-    BnbSolver cold_solver(sp, cold_opts);
-    const SolveResult warm = warm_solver.binarySearchMakespan();
-    const SolveResult cold = cold_solver.binarySearchMakespan();
-    ASSERT_EQ(warm.feasible(), cold.feasible());
-    if (!warm.feasible())
-        return;
-    EXPECT_EQ(warm.makespan, cold.makespan);
-    // Cross-check against direct minimization on a fresh solver.
+    BnbSolver reused(sp);
     BnbSolver direct(sp);
-    EXPECT_EQ(direct.minimizeMakespan().makespan, warm.makespan);
+    const SolveResult bin = reused.binarySearchMakespan();
+    const SolveResult min = direct.minimizeMakespan();
+    ASSERT_EQ(bin.feasible(), min.feasible());
+    if (!bin.feasible())
+        return;
+    EXPECT_EQ(bin.makespan, min.makespan);
     // The ready list is maintained incrementally: its insertion count
     // is bounded by dependency-edge work per node, not nodes x blocks.
-    EXPECT_GT(warm.stats.readyPushes, 0u);
-    EXPECT_LT(warm.stats.readyPushes,
-              warm.stats.nodes * sp.blocks.size() + sp.blocks.size());
-    warm_nodes += warm.stats.nodes;
-    cold_nodes += cold.stats.nodes;
-    reused += warm.stats.memoReused;
+    EXPECT_GT(bin.stats.readyPushes, 0u);
+    EXPECT_LT(bin.stats.readyPushes,
+              bin.stats.nodes * sp.blocks.size() + sp.blocks.size());
 }
 
-TEST(IncrementalSolver, PersistentMemoMShapeFewerNodes)
+TEST(IncrementalSolver, ReusedSolverDecideSequencesMatchFreshSolvers)
 {
-    // The memory cap matters: it derails the est/tail greedy first
-    // dive, so the binary search runs real SAT rounds with shrinking
-    // deadlines (the regime cross-round proofs accelerate). Unlimited
-    // memory makes the first dive optimal and every later round UNSAT
-    // at a *rising* deadline, which proofs can never cover.
-    uint64_t warm_nodes = 0, cold_nodes = 0, reused = 0;
-    for (int n = 2; n <= 3; ++n) {
-        Problem prob(makeMShape(4), n, 4);
-        expectPersistentMemoCheaper(buildFullInstance(prob), warm_nodes,
-                                    cold_nodes, reused);
-    }
-    EXPECT_LT(warm_nodes, cold_nodes);
-    EXPECT_GT(reused, 0u);
-}
-
-TEST(IncrementalSolver, PersistentMemoNnShapeFewerNodes)
-{
-    uint64_t warm_nodes = 0, cold_nodes = 0, reused = 0;
-    for (int n = 2; n <= 3; ++n) {
-        Problem prob(makeNnShape(4), n, 4);
-        expectPersistentMemoCheaper(buildFullInstance(prob), warm_nodes,
-                                    cold_nodes, reused);
-    }
-    EXPECT_LT(warm_nodes, cold_nodes);
-    EXPECT_GT(reused, 0u);
-}
-
-TEST(IncrementalSolver, PersistentMemoDecideSequencesStaySound)
-{
-    // Manual decide() sequences with non-monotone deadlines: proof
-    // levels must only prune rounds they cover, so every answer has to
-    // match a fresh cold solver's.
+    // Manual decide() sequences with non-monotone deadlines on one
+    // solver: every answer has to match a fresh solver's.
     Problem prob(makeVShape(4), 3);
     const SolverProblem sp = buildFullInstance(prob);
-    BnbSolver persistent(sp);
+    BnbSolver reused(sp);
     BnbSolver probe(sp);
     const Time opt = probe.minimizeMakespan().makespan;
     for (const Time d :
          {opt - 1, opt, opt + 5, opt - 2, opt + 1, opt - 1, opt}) {
-        SolverOptions cold_opts;
-        cold_opts.persistentMemo = false;
-        BnbSolver fresh(sp, cold_opts);
-        EXPECT_EQ(persistent.decide(d).feasible(), fresh.decide(d).feasible())
+        BnbSolver fresh(sp);
+        EXPECT_EQ(reused.decide(d).feasible(), fresh.decide(d).feasible())
             << "deadline " << d;
+    }
+    // The memory cap derails the est/tail greedy first dive, so the
+    // binary search runs real SAT rounds with shrinking deadlines.
+    for (int n = 2; n <= 3; ++n) {
+        expectBinaryMatchesMinimize(
+            buildFullInstance(Problem(makeMShape(4), n, 4)));
+        expectBinaryMatchesMinimize(
+            buildFullInstance(Problem(makeNnShape(4), n, 4)));
     }
 }
 

@@ -30,6 +30,7 @@
 #include "store/serialize.h"
 #include "support/io.h"
 #include "support/logging.h"
+#include "support/rng.h"
 #include "support/tracing.h"
 
 namespace tessel {
@@ -651,6 +652,155 @@ TEST(TraceWire, ControlBytesInIdComeBackEscaped)
         << line;
     for (const char c : line)
         EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
+}
+
+/** Parse @p line, which must be rejected with a message. */
+void
+expectRejected(const std::string &line)
+{
+    TraceQuery q;
+    std::string err;
+    EXPECT_FALSE(parseTraceLine(line, &q, &err)) << line;
+    EXPECT_FALSE(err.empty()) << line;
+}
+
+TEST(TraceWire, NumberMustBeTheWholeToken)
+{
+    expectRejected("{\"shape\": \"V\", \"devices\": 4-2}");
+    expectRejected("{\"shape\": \"V\", \"devices\": 4e}");
+    expectRejected("{\"shape\": \"V\", \"budget_sec\": 1.5.2}");
+    expectRejected("{\"shape\": \"V\", \"budget_sec\": 1e999}");
+}
+
+TEST(TraceWire, IntegerKeysRejectOutOfRangeAndFractions)
+{
+    expectRejected("{\"shape\": \"V\", \"devices\": 1e300}");
+    expectRejected("{\"shape\": \"V\", \"nr_cap\": -1e19}");
+    expectRejected("{\"shape\": \"V\", \"devices\": 2147483648}");
+    expectRejected("{\"shape\": \"V\", \"devices\": 2.5}");
+    expectRejected("{\"shape\": \"V\", \"mem_limit\": 1e19}");
+    expectRejected("{\"shape\": \"V\", \"fail_device\": \"1\"}");
+
+    TraceQuery q;
+    std::string err;
+    ASSERT_TRUE(parseTraceLine("{\"shape\": \"V\", \"devices\": 8, "
+                               "\"nr_cap\": -2147483648, "
+                               "\"mem_limit\": 4e9}",
+                               &q, &err))
+        << err;
+    EXPECT_EQ(q.devices, 8);
+    EXPECT_EQ(q.nrCap, -2147483647 - 1);
+    EXPECT_EQ(q.memLimit, 4000000000LL);
+}
+
+TEST(TraceWire, DuplicateKeyRejected)
+{
+    expectRejected("{\"shape\": \"V\", \"devices\": 4, \"devices\": 8}");
+    expectRejected("{\"shape\": \"V\", \"shape\": \"X\"}");
+    expectRejected("{\"shape\": \"V\", \"extra\": 1, \"extra\": 1}");
+}
+
+/** The lines `tessel_service --emit-trace [--chaos]` prints. */
+std::vector<std::string>
+referenceTraceLines(bool chaos)
+{
+    std::vector<std::string> lines;
+    int n = 0;
+    for (const std::string shape : {"V", "X", "M", "NN", "K"}) {
+        for (const std::string v : {"homogeneous", "mem-capped", "hetero"}) {
+            TraceQuery q;
+            q.id = "q" + std::to_string(++n);
+            q.shape = shape;
+            q.variant = v;
+            if (chaos && v == "hetero" && shape == "V") {
+                q.failDevice = 1;
+            } else if (chaos && v == "hetero") {
+                q.driftDevice = 1;
+                q.driftSpeed = 2.0;
+            } else if (chaos && v == "mem-capped") {
+                q.driftSrc = 0;
+                q.driftDst = 1;
+                q.driftLatency = 2.0;
+                q.driftTimePerMB = 0.5;
+            } else if (chaos) {
+                q.driftDevice = 0;
+                q.driftSpeed = 1.25;
+            }
+            lines.push_back(formatTraceLine(q));
+        }
+    }
+    return lines;
+}
+
+TEST(TraceWire, ReferenceAndChaosLinesRoundTrip)
+{
+    for (const bool chaos : {false, true}) {
+        for (const std::string &line : referenceTraceLines(chaos)) {
+            TraceQuery q;
+            std::string err;
+            ASSERT_TRUE(parseTraceLine(line, &q, &err)) << line << ": " << err;
+            EXPECT_EQ(formatTraceLine(q), line);
+        }
+    }
+}
+
+TEST(TraceWire, MutatedLinesNeverCrashAndAlwaysExplain)
+{
+    // Seeded and deterministic: every mutant either parses or is
+    // rejected with a message. Truncations, duplicated keys and bad
+    // integers must be rejected.
+    static const char *kHuge[] = {"1e300",       "-1e19", "1e19",
+                                  "2147483648",  "1e999", "4-2",
+                                  "-2147483649", "0.5"};
+    std::vector<std::string> lines = referenceTraceLines(false);
+    for (const std::string &line : referenceTraceLines(true))
+        lines.push_back(line);
+    lines.push_back("{\"id\": \"stats1\", \"cmd\": \"stats\"}");
+    Rng rng(16);
+    int parsed = 0, rejected = 0;
+    for (const std::string &line : lines) {
+        const bool has_devices =
+            line.find("\"devices\": ") != std::string::npos;
+        for (int round = 0; round < 64; ++round) {
+            std::string m = line;
+            bool must_reject = true;
+            int64_t op = rng.range(0, 3);
+            if (op == 2 && !has_devices)
+                op = 3;
+            switch (op) {
+            case 0: // Truncate: the closing brace is always lost.
+                m.resize(rng.range(0, line.size() - 1));
+                break;
+            case 1: { // Flip one byte to any other value.
+                const size_t at = rng.range(0, line.size() - 1);
+                m[at] = static_cast<char>(m[at] ^ rng.range(1, 255));
+                must_reject = false;
+                break;
+            }
+            case 2: { // Splice a bad integer into "devices".
+                const size_t at = m.find("\"devices\": ") + 11;
+                m.replace(at, m.find(',', at) - at,
+                          kHuge[rng.range(0, 7)]);
+                break;
+            }
+            default: // Repeat the first key/value pair.
+                m.insert(m.size() - 1,
+                         ", " + m.substr(1, m.find(',') - 1));
+                break;
+            }
+            TraceQuery q;
+            std::string err;
+            if (parseTraceLine(m, &q, &err)) {
+                EXPECT_FALSE(must_reject) << m;
+                ++parsed;
+            } else {
+                EXPECT_FALSE(err.empty()) << m;
+                ++rejected;
+            }
+        }
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 } // namespace

@@ -769,10 +769,10 @@ TEST(PlanCache, MemoryCapacityHonoredBelowShardCount)
 
 // ----------------------------------------------------- Sharded layout
 
-TEST(PlanStore, FlatEntriesMigratedToPrefixShardsOnOpen)
+TEST(PlanStore, ReopenServesShardedEntriesAndIgnoresRootFiles)
 {
     std::string dir;
-    ASSERT_TRUE(makeTempDir("tessel-store-migrate-", &dir));
+    ASSERT_TRUE(makeTempDir("tessel-store-reopen-", &dir));
 
     const Placement p = makeShapeByName("V", 4);
     const TesselOptions opts = quickOptions();
@@ -785,23 +785,23 @@ TEST(PlanStore, FlatEntriesMigratedToPrefixShardsOnOpen)
         cache.put(fp, p, opts, result);
     }
 
-    // Demote the sharded entry (and sidecar) to the legacy flat layout
-    // a pre-sharding writer would have produced.
+    // A well-named entry file at the store root, outside every prefix
+    // shard, is not part of the store.
     PlanStore store(dir);
-    const std::string flat_plan = dir + "/" + fp.hex() + ".plan";
-    const std::string flat_meta = dir + "/" + fp.hex() + ".meta";
     ASSERT_TRUE(fileExists(store.pathFor(fp)));
-    ASSERT_EQ(::rename(store.pathFor(fp).c_str(), flat_plan.c_str()), 0);
-    ASSERT_EQ(::rename(store.metaPathFor(fp).c_str(), flat_meta.c_str()),
-              0);
+    std::string bytes, err;
+    ASSERT_TRUE(readFile(store.pathFor(fp), &bytes, &err)) << err;
+    const Hash128 other = fingerprintQuery(makeShapeByName("M", 4), opts);
+    ASSERT_NE(other, fp);
+    const std::string root_copy = dir + "/" + other.hex() + ".plan";
+    ASSERT_TRUE(writeFileAtomic(root_copy, bytes, &err)) << err;
 
-    // Re-open: the flat files must migrate into their prefix shard and
-    // remain fully readable (list, get, and a verified cache hit).
+    // Re-open: the sharded entry is listed and served from disk; the
+    // root file is neither listed nor moved.
     PlanStore reopened(dir);
-    EXPECT_TRUE(fileExists(reopened.pathFor(fp)));
-    EXPECT_TRUE(fileExists(reopened.metaPathFor(fp)));
-    EXPECT_FALSE(fileExists(flat_plan));
-    EXPECT_FALSE(fileExists(flat_meta));
+    EXPECT_TRUE(fileExists(root_copy));
+    EXPECT_FALSE(fileExists(reopened.pathFor(other)));
+    EXPECT_FALSE(reopened.has(other));
     ASSERT_EQ(reopened.list().size(), 1u);
     EXPECT_EQ(reopened.list()[0], fp);
 
@@ -812,6 +812,7 @@ TEST(PlanStore, FlatEntriesMigratedToPrefixShardsOnOpen)
     EXPECT_EQ(source, PlanCache::Source::Disk);
     EXPECT_TRUE(hit->plan == result.plan);
     EXPECT_EQ(cache.indexedInstances(), 1u);
+    EXPECT_TRUE(fileExists(root_copy));
 }
 
 TEST(PlanCache, OrphanMetaSidecarSkippedAndDeletedOnOpen)
